@@ -20,6 +20,7 @@ so explicitly.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -81,14 +82,22 @@ def _find_trail_worker(searcher: ContiguousTrailSearcher,
     return searcher.find_trail(support)
 
 
+#: Context searcher -> its naive twin: a run that degrades many
+#: supports builds the reference LTG once, not once per support.
+_FALLBACK_SEARCHERS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def _find_trail_fallback(searcher: ContiguousTrailSearcher,
                          support) -> TrailWitness | None:
     """A degraded trail search: in-parent, on the reference naive
     Digraph searcher (verdict-identical to the kernel by the
     differential suite)."""
-    fallback = ContiguousTrailSearcher(
-        searcher.protocol, max_ring_size=searcher.max_ring_size,
-        backend="naive")
+    fallback = _FALLBACK_SEARCHERS.get(searcher)
+    if fallback is None:
+        fallback = ContiguousTrailSearcher(
+            searcher.protocol, max_ring_size=searcher.max_ring_size,
+            backend="naive")
+        _FALLBACK_SEARCHERS[searcher] = fallback
     return fallback.find_trail(support)
 
 

@@ -22,6 +22,10 @@ per-query graph construction:
   *implicit* product graph — node ``phase * n + state``, successors via
   shift-and-intersect — with no dictionaries of tuples, no ``Digraph``,
   and no hashing of :class:`LocalState` objects in the hot loop;
+* before any of that, a support-level **projection test** (see
+  :meth:`LocalKernel._projection_prunes`) decides with one SCC
+  closure on the flat LTG whether *any* ``(K, |E|)`` could match; a
+  support that fails it skips every skeleton and product-graph pass;
 * whole ``find_trail`` answers are memoized on the support's index
   fingerprint, so permuted candidate combinations that share a support
   never re-search.
@@ -40,6 +44,7 @@ the naive implementation.
 
 from __future__ import annotations
 
+import math
 import time
 import weakref
 from array import array
@@ -84,7 +89,9 @@ class LocalKernelStats:
     trail_cache_hits: int = 0
     """``find_trail`` queries answered from the support memo."""
     supports_searched: int = 0
-    """``find_trail`` queries that ran (memo misses)."""
+    """``find_trail`` memo misses that ran the ``(K, |E|)`` scan."""
+    supports_pruned: int = 0
+    """``find_trail`` memo misses ruled out by the projection test."""
 
     def snapshot(self) -> "LocalKernelStats":
         return LocalKernelStats(
@@ -93,6 +100,7 @@ class LocalKernelStats:
             mask_evaluations=self.mask_evaluations,
             trail_cache_hits=self.trail_cache_hits,
             supports_searched=self.supports_searched,
+            supports_pruned=self.supports_pruned,
         )
 
     def delta_since(self, earlier: "LocalKernelStats") -> "LocalKernelStats":
@@ -106,6 +114,7 @@ class LocalKernelStats:
             - earlier.trail_cache_hits,
             supports_searched=self.supports_searched
             - earlier.supports_searched,
+            supports_pruned=self.supports_pruned - earlier.supports_pruned,
         )
 
 
@@ -177,9 +186,11 @@ class LocalKernel:
         self.stats = LocalKernelStats()
         self.stats.compile_seconds += time.perf_counter() - began
         self._skeletons: dict[tuple[int, int], TrailSkeleton] = {}
-        # Support fingerprint -> (bound scanned, result tuple | None).
+        # Support fingerprint -> (bound scanned, result tuple | None);
+        # a support pruned by the projection test is exhausted for every
+        # bound (``math.inf``).
         self._trail_memo: dict[frozenset[tuple[int, int]],
-                               tuple[int, tuple | None]] = {}
+                               tuple[float, tuple | None]] = {}
 
     # ------------------------------------------------------------------
     def skeleton(self, ring_size: int, enablements: int) -> TrailSkeleton:
@@ -236,7 +247,6 @@ class LocalKernel:
             start = bound + 1  # extend a previously exhausted scan
         else:
             start = 2
-        self.stats.supports_searched += 1
 
         t_succ = [0] * self.n
         for source, target in arcs:
@@ -244,6 +254,13 @@ class LocalKernel:
         tsrc_mask = 0
         for source, _target in arcs:
             tsrc_mask |= 1 << source
+        if memo is None and self._projection_prunes(arcs, t_succ,
+                                                    tsrc_mask):
+            self.stats.supports_pruned += 1
+            obs.metric("localkernel.supports_pruned")
+            self._trail_memo[key] = (math.inf, None)
+            return None
+        self.stats.supports_searched += 1
         sources = sorted({source for source, _target in arcs})
         if root_states is not None:
             index = self.index
@@ -279,6 +296,42 @@ class LocalKernel:
             states=tuple(self.states[i] for i in state_ids),
             illegitimate_states=tuple(self.states[i] for i in illegit_ids),
         )
+
+    # ------------------------------------------------------------------
+    def _projection_prunes(self, arcs: list[tuple[int, int]],
+                           t_succ: list[int], tsrc_mask: int) -> bool:
+        """Whether no ``(K, |E|)`` can yield a trail over this support.
+
+        In the round pattern ``T (S T)^(K-|E|-1) S!^|E|`` every S phase
+        is followed by a T phase, and a T-phase product node has
+        successors only at a t-source; S! arcs target t-sources by
+        construction.  So every s-arc on a product-graph cycle ends at a
+        t-source, and a matching SCC projects onto a strongly connected
+        subgraph of ``G_sup`` = the support's t-arcs plus the s-arcs
+        ``u -> v`` with ``v`` a t-source.  That projection holds both
+        endpoints of every support arc and an illegitimate state, so it
+        lies inside the ``G_sup`` SCC of the first arc's source: if that
+        SCC misses an endpoint or every illegitimate state, no round
+        pattern matches.
+        """
+        succ = [t_mask | (s_mask & tsrc_mask)
+                for t_mask, s_mask in zip(t_succ, self.s_masks)]
+        required = 0
+        for source, target in arcs:
+            required |= (1 << source) | (1 << target)
+        root = 1 << arcs[0][0]
+        forward = _reach(root, succ)
+        if required & ~forward or not forward & self.illegit_mask:
+            return True
+        # Every state on a path back to the root is itself reachable
+        # from the root, so the backward sweep stays inside *forward*.
+        pred = [0] * self.n
+        for source in _mask_indices(forward):
+            for target in _mask_indices(succ[source] & forward):
+                pred[target] |= 1 << source
+        component = _reach(root, pred)
+        return bool(required & ~component) \
+            or not component & self.illegit_mask
 
     # ------------------------------------------------------------------
     def _search(self, sk: TrailSkeleton, arcs: list[tuple[int, int]],
@@ -391,6 +444,18 @@ class LocalKernel:
         if not illegit:
             return None
         return (_mask_indices(state_mask), _mask_indices(illegit))
+
+
+def _reach(root: int, succ: list[int]) -> int:
+    """The states reachable from the *root* bitmask under *succ*."""
+    reached = frontier = root
+    while frontier:
+        step = 0
+        for state in _mask_indices(frontier):
+            step |= succ[state]
+        frontier = step & ~reached
+        reached |= frontier
+    return reached
 
 
 def _mask_indices(mask: int) -> tuple[int, ...]:

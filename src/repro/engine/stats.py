@@ -56,6 +56,7 @@ _COUNTER_METRICS = {
     "skeleton_compiles": "localkernel.skeleton_compiles",
     "mask_evaluations": "localkernel.mask_evaluations",
     "trail_cache_hits": "localkernel.trail_cache_hits",
+    "supports_pruned": "localkernel.supports_pruned",
     "verdict_cache_hits": "synthesis.verdict_cache_hits",
     "combos_pruned": "synthsearch.combos_pruned",
     "full_evaluations": "synthsearch.full_evaluations",
@@ -219,6 +220,7 @@ class EngineStats:
         self.skeleton_compiles += kernel_stats.skeleton_compiles
         self.mask_evaluations += kernel_stats.mask_evaluations
         self.trail_cache_hits += kernel_stats.trail_cache_hits
+        self.supports_pruned += kernel_stats.supports_pruned
 
     def absorb_artifacts(self, delta) -> None:
         """Accumulate an :class:`repro.engine.artifacts.ArtifactStats`
@@ -304,10 +306,12 @@ class EngineStats:
                            f"{self.quotient_full_states} "
                            f"({self.quotient_ratio:.1f}x)")
             parts.append(kernel)
-        if self.mask_evaluations or self.skeleton_compiles:
+        if (self.mask_evaluations or self.skeleton_compiles
+                or self.supports_pruned):
             parts.append(
                 f"localkernel {self.skeleton_compiles} skeletons, "
                 f"{self.mask_evaluations} mask evals, "
+                f"{self.supports_pruned} supports pruned, "
                 f"{self.trail_cache_hits} trail memo hits, "
                 f"{self.verdict_cache_hits} verdict memo hits")
         if self.combos_pruned or self.full_evaluations:

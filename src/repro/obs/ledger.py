@@ -19,8 +19,8 @@ with the same (fingerprint, flags) identity, and flags:
   than ``threshold`` (default 25%) over a noise floor;
 * **health regressions** — fault counters (timeouts, retries,
   degradations, pool fallbacks, corrupt artifacts) strictly increased;
-* **work drift** — workload counters (tasks run, states packed, trails
-  searched) changed in *either* direction, which on a matched identity
+* **work drift** — workload counters (tasks run, states packed, trail
+  supports pruned) changed in *either* direction, which on a matched identity
   means the computation itself changed shape;
 * **cache effectiveness drops** — a hit-rate fell by more than the
   threshold (as an absolute rate delta).
@@ -67,6 +67,10 @@ WORK_COUNTERS = (
     # scheduling-dependent blocked-mask index), so any drift on a
     # matched identity is a pruning regression, not partition noise.
     "combos_pruned", "full_evaluations",
+    # Trail supports ruled out by the localkernel projection test: a
+    # property of the support set alone, so drift is a pruning
+    # regression.
+    "supports_pruned",
 )
 
 #: (hits, misses) counter pairs folded into hit rates.

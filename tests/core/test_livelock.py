@@ -2,11 +2,15 @@
 
 import pytest
 
+import repro.core.trail as trail_mod
 from repro.core.livelock import (
     LivelockCertifier,
     LivelockVerdict,
+    _find_trail_fallback,
     certify_livelock_freedom,
 )
+from repro.core.pseudolivelock import pseudo_livelock_supports
+from repro.core.trail import ContiguousTrailSearcher
 from repro.errors import AssumptionViolation
 from repro.protocol.dsl import parse_action
 from repro.protocol.process import ProcessTemplate
@@ -55,6 +59,26 @@ class TestCertification:
         report = LivelockCertifier(protocol).analyze()
         assert report.contiguous_only
         assert not report.certified
+
+
+class TestFallback:
+    def test_fallback_builds_the_reference_ltg_once(self, monkeypatch):
+        builds = []
+        real_build = trail_mod.build_ltg
+
+        def counting_build(*args, **kwargs):
+            builds.append(1)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(trail_mod, "build_ltg", counting_build)
+        protocol = stabilizing_sum_not_two()
+        searcher = ContiguousTrailSearcher(protocol)
+        supports = pseudo_livelock_supports(protocol.space.transitions)
+        first = _find_trail_fallback(searcher, supports[0])
+        second = _find_trail_fallback(searcher, supports[-1])
+        assert len(builds) == 1
+        assert first == searcher.find_trail(supports[0])
+        assert second == searcher.find_trail(supports[-1])
 
 
 class TestAssumptions:

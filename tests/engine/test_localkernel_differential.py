@@ -5,8 +5,9 @@ the bitmask kernel must reproduce them exactly:
 
 * trail search — same found/not-found verdict and the same
   ``(K, |E|, t_arcs)`` witness head for every pseudo-livelock support of
-  every bundled protocol (the witnessing SCC's ``states`` may come from
-  a different matching component, so only the head is pinned);
+  every bundled protocol and of seeded random protocols, with the
+  kernel's projection prune on (the witnessing SCC's ``states`` may come
+  from a different matching component, so only the head is pinned);
 * FVS enumeration — the branch-and-bound search returns the exhaustive
   enumerator's sets in the exhaustive enumerator's order, truncation
   included, over seeded random digraphs;
@@ -22,12 +23,14 @@ import random
 
 import pytest
 
+from repro.core.livelock import certify_livelock_freedom
 from repro.core.pseudolivelock import (
     SupportExplosion,
     pseudo_livelock_supports,
 )
 from repro.core.synthesis import Synthesizer
 from repro.core.trail import ContiguousTrailSearcher
+from repro.engine.localkernel import LocalKernel
 from repro.graphs import (
     Digraph,
     FvsStats,
@@ -78,12 +81,11 @@ def _supports(protocol):
         return []
 
 
-@pytest.mark.parametrize("factory", BUNDLED,
-                         ids=lambda f: f.__name__)
-def test_trail_kernel_matches_naive_on_bundled(factory):
-    protocol = factory()
-    kernel = ContiguousTrailSearcher(protocol, backend="kernel")
-    naive = ContiguousTrailSearcher(protocol, backend="naive")
+def _assert_trails_match(protocol, max_ring_size=9):
+    kernel = ContiguousTrailSearcher(protocol, backend="kernel",
+                                     max_ring_size=max_ring_size)
+    naive = ContiguousTrailSearcher(protocol, backend="naive",
+                                    max_ring_size=max_ring_size)
     for support in _supports(protocol):
         found_kernel = kernel.find_trail(support)
         found_naive = naive.find_trail(support)
@@ -97,6 +99,70 @@ def test_trail_kernel_matches_naive_on_bundled(factory):
         assert found_kernel.t_arcs == found_naive.t_arcs
         assert found_kernel.illegitimate_states
         assert set(found_kernel.states) <= set(protocol.space.states)
+    return kernel.kernel_stats()
+
+
+@pytest.mark.parametrize("factory", BUNDLED,
+                         ids=lambda f: f.__name__)
+def test_trail_kernel_matches_naive_on_bundled(factory):
+    _assert_trails_match(factory())
+
+
+def test_projection_prune_sound_on_random():
+    # Larger domains and transition sets than the synthesis samples, so
+    # the 400 protocols yield ~150 supports on both sides of the prune.
+    pruned = searched = 0
+    for seed in range(20):
+        sampler = ProtocolSampler(
+            seed=100 + seed, restrict_sources_to_bad=bool(seed % 2),
+            min_domain=3, max_domain=4, max_transitions=12)
+        for _ in range(20):
+            stats = _assert_trails_match(sampler.sample(),
+                                         max_ring_size=RANDOM_MAX_RING)
+            pruned += stats.supports_pruned
+            searched += stats.supports_searched
+    assert pruned > 0 and searched > 0
+
+
+def _pruned_support(protocol, kernel):
+    for support in _supports(protocol):
+        before = kernel.stats.supports_pruned
+        if kernel.find_trail(support, 2) is None \
+                and kernel.stats.supports_pruned > before:
+            return support
+    raise AssertionError("no support was pruned")
+
+
+def test_pruned_support_requery_is_memo_hit():
+    protocol = gouda_acharya_matching()
+    kernel = LocalKernel(protocol)
+    support = _pruned_support(protocol, kernel)
+    before = kernel.stats.snapshot()
+    assert kernel.find_trail(support, 2) is None
+    assert kernel.find_trail(support, 9) is None
+    delta = kernel.stats.delta_since(before)
+    assert delta.trail_cache_hits == 2
+    assert delta.supports_pruned == 0
+    assert delta.supports_searched == 0
+    assert delta.mask_evaluations == 0
+    assert delta.skeleton_compiles == 0
+
+
+def test_gouda_acharya_prune_pinned():
+    report = certify_livelock_freedom(gouda_acharya_matching())
+    assert report.supports_checked == 441
+    assert report.stats.supports_pruned == 440
+    assert "440 supports pruned" in report.stats.summary()
+    [witness] = report.trail_witnesses
+    assert (witness.ring_size, witness.enablements) == (2, 1)
+    assert sorted(str(t) for t in witness.t_arcs) == [
+        "⟨left left self⟩ → ⟨left self self⟩ [t_ls]",
+        "⟨self self left⟩ → ⟨self left left⟩ [t_sl]",
+    ]
+    states = ["⟨left left self⟩", "⟨left self self⟩",
+              "⟨self left left⟩", "⟨self self left⟩"]
+    assert [str(s) for s in witness.states] == states
+    assert [str(s) for s in witness.illegitimate_states] == states
 
 
 def test_trail_kernel_memoizes_repeat_queries():
@@ -223,13 +289,18 @@ def test_synthesis_verdict_memo_hits():
 
 
 def test_synthesis_stats_expose_kernel_counters():
+    # Sum-not-two's only support has no trail (Section 6.2), so the
+    # projection test rules it out before any skeleton is compiled.
     result = Synthesizer(sum_not_two(), backend="kernel").synthesize()
     assert result.stats is not None
-    assert result.stats.skeleton_compiles > 0
-    assert result.stats.mask_evaluations > 0
+    assert result.stats.supports_pruned > 0
     assert result.stats.fvs_nodes_explored > 0
     summary = result.stats.summary()
     assert "localkernel" in summary and "fvs" in summary
+    # Three-coloring's supports survive the prune and run the scan.
+    searched = Synthesizer(three_coloring(), backend="kernel").synthesize()
+    assert searched.stats.skeleton_compiles > 0
+    assert searched.stats.mask_evaluations > 0
 
 
 def test_synthesis_rejects_unknown_backend():
