@@ -8,7 +8,7 @@ verify ``p(K)`` for each ``K`` in a range — so the comparison can be
 made concretely (benchmark X2 and the ablation benches use it).
 
 Each ``p(K)`` is an independent work item, so the sweep fans out over
-:func:`repro.engine.run_work_items` when ``jobs > 1`` and reuses prior
+:func:`repro.engine.supervise_work_items` when ``jobs > 1`` and reuses prior
 per-K reports through a :class:`repro.engine.ResultCache`; verdicts are
 identical to the serial, uncached run by construction (deterministic
 result ordering, whole-report caching).
@@ -120,7 +120,6 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
                  policy: SupervisorPolicy | None = None,
                  journal: RunJournal | None = None,
                  fault_plan: FaultPlan | None = None,
-                 schedule: str = "auto",
                  batch_size: int | None = None) -> SweepResult:
     """Model-check every ring size from *start* (default: the read-window
     width) through *up_to*.
@@ -143,12 +142,8 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
     finished, merging their reports' partial :class:`EngineStats` into
     this run's counters.  A supervised or journaled ``stop_on_failure``
     sweep checks speculatively like the parallel one.  *fault_plan* is
-    test-only injection.
-
-    *schedule* / *batch_size* select the supervised execution strategy
-    (``auto`` / ``batch`` / ``task`` — see
-    :func:`repro.engine.supervise_work_items`); verdicts are identical
-    across schedules.
+    test-only injection.  *batch_size* pins the batch scheduler's batch
+    size (see :func:`repro.engine.supervise_work_items`).
     """
     first = protocol.process.window_width if start is None else start
     if first > up_to:
@@ -156,7 +151,7 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
     sizes = list(range(first, up_to + 1))
     stats = EngineStats(jobs=jobs)
     supervised = (policy is not None or journal is not None
-                  or fault_plan is not None or schedule == "batch")
+                  or fault_plan is not None)
 
     if jobs <= 1 and not supervised:
         # Serial: check sizes in order so stop_on_failure exits early.
@@ -225,8 +220,7 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
                 context=(protocol, backend, symmetry),
                 stats=stats, policy=policy, journal=journal,
                 keys=keys, fallback_worker=_sweep_fallback_worker,
-                plan=fault_plan, schedule=schedule,
-                batch_size=batch_size, prewarm=prewarm,
+                plan=fault_plan, batch_size=batch_size, prewarm=prewarm,
                 portable=_sweep_portable(protocol, backend, symmetry))
         else:
             outcomes = [_check_size(protocol, size, backend, symmetry)
@@ -322,7 +316,7 @@ def _sweep_portable(protocol: "RingProtocol", backend: str,
 
 
 def _sweep_worker(context, size: int) -> tuple[GlobalReport, float]:
-    """Module-level worker for :func:`repro.engine.run_work_items`."""
+    """Module-level worker for :func:`repro.engine.supervise_work_items`."""
     protocol, backend, symmetry = context
     return _check_size(protocol, size, backend, symmetry)
 

@@ -78,12 +78,36 @@ def _annotate_protocol(protocol) -> None:
         obs.gauge("protocol.fingerprint", fingerprint)
 
 
+def _bounded(kind, minimum, strict: bool = False):
+    """An argparse ``type=`` that parses *kind* and rejects values below
+    *minimum* (or equal to it, when *strict*) with a usage error."""
+    relation = ">" if strict else ">="
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if value < minimum or (strict and value == minimum):
+            raise argparse.ArgumentTypeError(
+                f"must be {relation} {minimum}, got {text}")
+        return value
+
+    return parse
+
+
+_positive_int = _bounded(int, 1)
+_non_negative_int = _bounded(int, 0)
+_positive_float = _bounded(float, 0, strict=True)
+
+
 def _add_engine_options(parser: argparse.ArgumentParser,
                         jobs: bool = True) -> None:
     """The shared ``repro.engine`` flags (``--jobs``, ``--cache``)."""
     if jobs:
         parser.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
+            "--jobs", type=_positive_int, default=1, metavar="N",
             help="worker processes for independent work items "
                  "(default: 1 = serial)")
     parser.add_argument(
@@ -102,7 +126,8 @@ def _add_engine_options(parser: argparse.ArgumentParser,
              "processes; auto activates it together with --cache, rw/ro "
              "force it on, off disables it")
     parser.add_argument(
-        "--cache-limit", type=int, default=1024, metavar="MIB",
+        "--cache-limit", type=_non_negative_int, default=1024,
+        metavar="MIB",
         help="combined size cap in MiB for the on-disk result cache and "
              "the artifact store, enforced LRU-by-mtime "
              "(default: 1024; 0 = unbounded)")
@@ -128,24 +153,20 @@ def _add_supervisor_options(parser: argparse.ArgumentParser,
     long-running commands, ``--checkpoint`` / ``--run-id`` /
     ``--resume``)."""
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_positive_float, default=None,
+        metavar="SECONDS",
         help="per-work-item wall-clock budget; an over-budget task is "
              "killed and retried (--retries), then degraded to an "
              "in-process serial fallback")
     parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_non_negative_int, default=None, metavar="N",
         help="extra attempts for a crashed or timed-out work item "
              "before degrading (default: 2 once supervision is on)")
     parser.add_argument(
-        "--schedule", choices=("auto", "batch", "task"), default="auto",
-        help="supervised execution strategy: persistent workers pulling "
-             "adaptively sized batches (batch; the auto default when "
-             "children are forked anyway) or one forked child per task "
-             "attempt (task)")
-    parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
+        "--batch-size", type=_positive_int, default=None, metavar="N",
         help="pin the batch scheduler's batch size instead of adapting "
-             "it from observed task durations")
+             "it from observed task durations (1 = one task per "
+             "dispatch on the persistent workers)")
     if resume:
         parser.add_argument(
             "--checkpoint", action="store_true",
@@ -164,7 +185,7 @@ def _add_supervisor_options(parser: argparse.ArgumentParser,
 
 def _supervisor_policy(args: argparse.Namespace):
     """The :class:`SupervisorPolicy` requested by the flags, or ``None``
-    (= unsupervised, the plain pool fast path)."""
+    (= the engine's default policy)."""
     if args.timeout is None and args.retries is None:
         return None
     from repro.engine.supervisor import SupervisorPolicy
@@ -294,7 +315,7 @@ def _artifact_store(args: argparse.Namespace):
 #: and output flags are deliberately excluded: two runs of the same
 #: analysis must diff as equals regardless of where they journal.
 _LEDGER_FLAG_KEYS = (
-    "jobs", "backend", "symmetry", "schedule", "batch_size", "search",
+    "jobs", "backend", "symmetry", "batch_size", "search",
     "timeout", "retries", "cache", "artifacts",
     "max_ring_size", "up_to", "ring_size", "samples", "seed",
     "stop_on_failure",
@@ -423,7 +444,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                                 jobs=args.jobs, cache=cache,
                                 backend=args.backend,
                                 policy=_supervisor_policy(args),
-                                schedule=args.schedule,
                                 batch_size=args.batch_size)
     from repro.engine.fingerprint import protocol_fingerprint
 
@@ -501,7 +521,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                           backend=args.backend, symmetry=args.symmetry,
                           policy=_supervisor_policy(args),
                           journal=journal,
-                          schedule=args.schedule,
                           batch_size=args.batch_size)
     _note_ledger(args, protocol=protocol.name, fingerprint=fingerprint,
                  verdict={
@@ -528,7 +547,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                             seed=args.seed,
                             jobs=args.jobs, cache=cache,
                             policy=_supervisor_policy(args),
-                            schedule=args.schedule,
                             batch_size=args.batch_size)
     _note_ledger(args,
                  verdict={"clean": report.clean,
@@ -569,7 +587,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 context=(protocol, args.backend, args.symmetry),
                 policy=policy,
                 fallback_worker=_sweep_fallback_worker,
-                schedule=args.schedule,
                 batch_size=args.batch_size)
         else:
             report = check_instance(
@@ -609,7 +626,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
                                     jobs=args.jobs, cache=cache,
                                     policy=_supervisor_policy(args),
                                     journal=journal,
-                                    schedule=args.schedule,
                                     batch_size=args.batch_size,
                                     search=args.search)
     _note_ledger(args, protocol=protocol.name, fingerprint=fingerprint,
@@ -923,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="random-protocol audit of the "
                                        "theorems against brute force")
-    fuzz.add_argument("--samples", type=int, default=50)
+    fuzz.add_argument("--samples", type=_positive_int, default=50)
     fuzz.add_argument("--max-ring-size", type=int, default=5)
     fuzz.add_argument("--seed", type=int, default=0)
     _add_engine_options(fuzz)
@@ -936,7 +952,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("-K", "--ring-size", type=int, required=True)
     check.add_argument("--json", action="store_true",
                        help="emit the report as JSON")
-    check.add_argument("--jobs", type=int, default=1, metavar="N",
+    check.add_argument("--jobs", type=_positive_int, default=1,
+                       metavar="N",
                        help="accepted for symmetry with sweep/fuzz; a "
                             "single instance is a single work item")
     _add_engine_options(check, jobs=False)
@@ -976,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                "study")
     simulate.add_argument("protocol")
     simulate.add_argument("-K", "--ring-size", type=int, required=True)
-    simulate.add_argument("--samples", type=int, default=200)
+    simulate.add_argument("--samples", type=_positive_int, default=200)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -990,7 +1007,8 @@ def build_parser() -> argparse.ArgumentParser:
                                          "store")
     cache.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="cache directory (default: .repro-cache/)")
-    cache.add_argument("--cache-limit", type=int, default=1024,
+    cache.add_argument("--cache-limit", type=_non_negative_int,
+                       default=1024,
                        metavar="MIB",
                        help="cap to report utilisation against "
                             "(default: 1024; 0 = unbounded)")
@@ -1089,14 +1107,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     log_json = getattr(args, "log_json", None)
     if hasattr(args, "live"):
         from repro.engine.journal import new_run_id
-        from repro.engine.pool import reset_fallback_warnings
 
         # One identity per command invocation, shared by the live
         # plane, the checkpoint journal and the ledger record.
         args.live_run_id = (getattr(args, "resume", None)
                             or getattr(args, "run_id", None)
                             or new_run_id())
-        reset_fallback_warnings()
     started = time.time()
     clock = time.perf_counter()
     with _artifact_store(args), _live_plane(args) as live_run:

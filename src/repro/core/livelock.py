@@ -78,7 +78,7 @@ class LivelockReport:
 
 def _find_trail_worker(searcher: ContiguousTrailSearcher,
                        support) -> TrailWitness | None:
-    """Module-level worker for :func:`repro.engine.run_work_items`."""
+    """Module-level worker for :func:`repro.engine.supervise_work_items`."""
     return searcher.find_trail(support)
 
 
@@ -118,7 +118,6 @@ class LivelockCertifier:
                  cache: ResultCache | None = None,
                  backend: str = "auto",
                  policy: SupervisorPolicy | None = None,
-                 schedule: str = "auto",
                  batch_size: int | None = None) -> None:
         self.protocol = protocol
         self.max_ring_size = max_ring_size
@@ -127,7 +126,6 @@ class LivelockCertifier:
         self.cache = cache
         self.backend = backend
         self.policy = policy
-        self.schedule = schedule
         self.batch_size = batch_size
 
     def _cache_key(self) -> str:
@@ -203,8 +201,7 @@ class LivelockCertifier:
         with stats.stage("trail-search", supports=len(supports),
                          backend=self.backend):
             if (self.jobs > 1 and len(supports) > 1) \
-                    or self.policy is not None \
-                    or self.schedule == "batch":
+                    or self.policy is not None:
                 # No separate prewarm hook: constructing the searcher
                 # above already compiled the local kernel in-parent, so
                 # forked workers inherit it hot either way.
@@ -212,12 +209,12 @@ class LivelockCertifier:
                     _find_trail_worker, supports, jobs=self.jobs,
                     context=searcher, stats=stats, policy=self.policy,
                     fallback_worker=_find_trail_fallback,
-                    schedule=self.schedule, batch_size=self.batch_size)
+                    batch_size=self.batch_size)
             else:
                 found = [searcher.find_trail(s) for s in supports]
         stats.work_items += len(supports)
-        # Under run_work_items the workers' kernel counters stay in the
-        # forked children, so parallel runs under-count here.
+        # The workers' kernel counters stay in the forked children, so
+        # parallel runs under-count here.
         stats.absorb_localkernel(searcher.kernel_stats())
         witnesses = [w for w in found if w is not None]
 

@@ -147,9 +147,8 @@ def precedence_relation(instance: RingInstance,
                     direct.add((i, j))
 
     closed = _transitive_closure(direct, n)
-    return PrecedenceRelation(instance=instance, start=cycle[0],
-                              schedule=schedule,
-                              order=frozenset(closed))
+    return PrecedenceRelation(instance, cycle[0], schedule,
+                              frozenset(closed))
 
 
 def _transitive_closure(pairs: set[tuple[int, int]],

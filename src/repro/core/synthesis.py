@@ -121,7 +121,7 @@ class SynthesisResult:
 
 def _combo_verdict_worker(synthesizer: "Synthesizer",
                           combo) -> str | None:
-    """Module-level worker for :func:`repro.engine.run_work_items`."""
+    """Module-level worker for :func:`repro.engine.supervise_work_items`."""
     return synthesizer._evaluate_verdict(combo)
 
 
@@ -159,7 +159,6 @@ class Synthesizer:
                  cache: ResultCache | None = None,
                  policy: SupervisorPolicy | None = None,
                  journal: RunJournal | None = None,
-                 schedule: str = "auto",
                  batch_size: int | None = None,
                  search: str = "lattice",
                  fault_plan=None) -> None:
@@ -186,7 +185,6 @@ class Synthesizer:
         """Checkpoints each combination verdict durably; a resumed run
         (same protocol, same ``--run-id``) answers already-judged
         combinations from the journal instead of re-searching."""
-        self.schedule = schedule
         self.batch_size = batch_size
         self.fault_plan = fault_plan
         """Deterministic fault injection
@@ -442,8 +440,7 @@ class Synthesizer:
         if pending:
             supervised = (self.policy is not None
                           or self.journal is not None
-                          or self.fault_plan is not None
-                          or self.schedule == "batch")
+                          or self.fault_plan is not None)
             if self.search == "lattice":
                 computed = self._lattice_verdicts(
                     [combos[i] for i in pending])
@@ -459,8 +456,7 @@ class Synthesizer:
                     stats=self.stats, policy=self.policy,
                     journal=self.journal, keys=keys,
                     fallback_worker=_combo_verdict_worker,
-                    plan=self.fault_plan,
-                    schedule=self.schedule, batch_size=self.batch_size)
+                    plan=self.fault_plan, batch_size=self.batch_size)
             else:
                 computed = [self._evaluate_verdict(combos[i])
                             for i in pending]
@@ -628,8 +624,8 @@ def synthesize_convergence(protocol: "RingProtocol",
 
     Raises :class:`SynthesisFailure` when the caller sets
     ``raise_on_failure=True`` and no combination is accepted.
-    Supervision keywords (``policy``, ``journal``, ``schedule``,
-    ``batch_size``) pass through to :class:`Synthesizer`.
+    Supervision keywords (``policy``, ``journal``, ``batch_size``) pass
+    through to :class:`Synthesizer`.
     """
     raise_on_failure = kwargs.pop("raise_on_failure", False)
     synthesizer = Synthesizer(protocol, max_ring_size=max_ring_size,

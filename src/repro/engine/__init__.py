@@ -5,11 +5,12 @@ Section 7 / benchmark X2) is only honest when the per-K baseline runs as
 fast as the hardware allows.  Per-K sweep instances, per-support
 contiguous-trail searches and per-protocol fuzzing audits are all
 embarrassingly parallel, and repeated CLI/benchmark invocations redo
-identical work.  This package supplies the three missing pieces:
+identical work.  This package supplies the missing pieces:
 
-* :func:`run_work_items` — a process-pool fan-out with deterministic
-  result ordering and a transparent serial fallback (``jobs=1``, no
-  ``fork``, or unpicklable results);
+* :func:`supervise_work_items` — the one fan-out entry point: results
+  in item order, run either in the parent's serial loop (``jobs=1``, a
+  single item, no ``fork``) or on the batch scheduler's persistent
+  supervised workers (see below);
 * :class:`ResultCache` — a content-addressed result cache keyed on a
   canonical protocol fingerprint plus analysis parameters, with an
   in-memory layer and an optional on-disk layer under ``.repro-cache/``;
@@ -29,17 +30,17 @@ identical work.  This package supplies the three missing pieces:
   states, per-``(K, |E|)`` product-graph skeletons, masked SCC passes
   and a support-fingerprint trail memo;
 * :mod:`repro.engine.supervisor` /  :mod:`repro.engine.journal` — the
-  fault-tolerance layer over the pool: :func:`supervise_work_items`
-  adds per-task timeouts, crash isolation, retry with backoff and
-  degradation to a serial fallback, and :class:`RunJournal` checkpoints
+  fault-tolerance layer: :func:`supervise_work_items` applies per-task
+  timeouts, crash isolation, retry with backoff and degradation to a
+  serial fallback, and :class:`RunJournal` checkpoints
   sweep / synthesis progress under ``.repro-cache/runs/<run-id>/`` so
   ``repro sweep --resume`` skips completed items (CLI ``--timeout`` /
   ``--retries`` / ``--checkpoint`` / ``--resume``);
-* :mod:`repro.engine.scheduler` — the batch execution strategy under
-  :func:`supervise_work_items`: persistent supervised workers pulling
-  adaptively sized batches (cost-model driven, heartbeat timeouts,
-  requeue-on-crash) so micro-task sweeps stop paying one fork and one
-  fsync per task (CLI ``--schedule`` / ``--batch-size``);
+* :mod:`repro.engine.scheduler` — the only forking execution strategy
+  under :func:`supervise_work_items`: persistent supervised workers
+  pulling adaptively sized batches (cost-model driven, heartbeat
+  timeouts, requeue-on-crash) so micro-task sweeps stop paying one fork
+  and one fsync per task (CLI ``--jobs`` / ``--batch-size``);
 * :mod:`repro.engine.artifacts` — the zero-copy artifact plane:
   compiled kernels, localkernel skeletons and per-``(protocol, K)``
   packed state graphs serialized into a content-addressed store under
@@ -81,7 +82,6 @@ from repro.engine.pool import (
     WorkerFailure,
     WorkerTraceback,
     parallelism_available,
-    run_work_items,
     spawn_dispatch_available,
 )
 from repro.engine.stats import EngineStats
@@ -134,7 +134,6 @@ __all__ = [
     "open_store",
     "parallelism_available",
     "protocol_fingerprint",
-    "run_work_items",
     "spawn_dispatch_available",
     "runs_root",
     "supervise_work_items",

@@ -1,24 +1,27 @@
 """Adaptive batch scheduling over persistent supervised workers.
 
-The compiled kernels drove per-task cost down to fractions of a
-millisecond, at which point the task-mode supervisor's fork-per-attempt
-dispatch (one ``fork``, one pipe round-trip, one fsync per task)
-dominates wall-clock.  :class:`BatchScheduler` amortizes that overhead:
-it forks ``--jobs`` **persistent workers once**, then feeds each worker
-**batches** of task indices sized by a :class:`CostModel` so one pipe
-round-trip covers ~:data:`TARGET_BATCH_SECONDS` of useful work.
+:class:`BatchScheduler` is the only way engine work reaches a child
+process (:func:`repro.engine.supervisor.supervise_work_items` routes
+every forking call here).  The compiled kernels drove per-task cost
+down to fractions of a millisecond, so per-task dispatch (one ``fork``,
+one pipe round-trip, one fsync per task) would dominate wall-clock; the
+scheduler amortizes it: it forks ``--jobs`` **persistent workers
+once**, then feeds each worker **batches** of task indices sized by a
+:class:`CostModel` so one pipe round-trip covers
+~:data:`TARGET_BATCH_SECONDS` of useful work.  ``--batch-size 1``
+gives one task per dispatch on the same persistent workers.
 
 Supervision stays at *task* granularity despite the batched transport:
 
 * every worker announces each task with a ``start`` message before
   touching it — the heartbeat that arms the per-task timeout deadline
-  in the parent, exactly as precise as task mode's fork-time clock;
+  in the parent, so a deadline measures the task, not its batch;
 * a worker death (segfault, OOM kill, injected SIGKILL) fails **only
   the in-flight task** — that task re-enters the retry/backoff/degrade
   ladder, while the not-yet-started remainder of the dead worker's
   batch is **requeued without spending retry budget** (those tasks were
-  innocent bystanders, and charging them attempts would make batch
-  verdicts diverge from task mode under ``retries=0``);
+  innocent bystanders, and charging them attempts would make verdicts
+  depend on how tasks happened to be batched under ``retries=0``);
 * deterministic worker exceptions latch into the shared
   :class:`~repro.engine.supervisor.TaskLedger` and re-raise with the
   remote traceback after in-flight work is stopped, and journal
@@ -80,6 +83,9 @@ EWMA_ALPHA = 0.25
 #: Samples below this are clamped before sizing (a 0-second clock tick
 #: must not produce a huge batch).
 MIN_TASK_SECONDS = 1e-6
+
+#: How often an idle worker checks that its parent is still alive.
+PARENT_CHECK_SECONDS = 1.0
 
 
 @dataclass
@@ -155,12 +161,20 @@ def _worker_main(worker, context, work: Sequence[Any],
     the parent-side deadline), run it, ship ``("done", index, outcome,
     capture)``; after a whole batch, ``("idle",)`` asks for more.
     ``None`` on the command pipe — or a vanished parent — ends the
-    loop.  Fault injection happens *after* the start heartbeat, like
-    task mode's fork-then-crash ordering, so the parent attributes the
-    death to the right task.
+    loop.  Fault injection happens *after* the start heartbeat, so the
+    parent attributes the death to the right task.
+
+    A hard-killed parent (``kill -9``, ``die-after``) never closes the
+    command pipe for good: sibling workers forked later inherited its
+    write end.  An idle worker therefore also watches its parent pid and
+    exits once it has been reparented.
     """
+    parent = os.getppid()
     while True:
         try:
+            while not commands.poll(PARENT_CHECK_SECONDS):
+                if os.getppid() != parent:
+                    os._exit(0)
             batch = commands.recv()
         except (EOFError, OSError):
             break
@@ -262,9 +276,9 @@ class _Worker:
 
 
 class BatchScheduler:
-    """Batch-mode execution strategy over a shared
-    :class:`~repro.engine.supervisor.TaskLedger` (see module docstring;
-    task-mode semantics, batched transport)."""
+    """The forking execution strategy over a shared
+    :class:`~repro.engine.supervisor.TaskLedger` (see module docstring:
+    per-task supervision, batched transport)."""
 
     def __init__(self, ledger: TaskLedger, jobs: int = 1,
                  batch_size: int | None = None,

@@ -1,59 +1,51 @@
-"""Fault-tolerant supervision of engine work items.
+"""Fault-tolerant supervision of engine work items — the one dispatch path.
 
-:func:`repro.engine.run_work_items` makes a batch *parallel*; this
-module makes it *survivable*.  Per-item cost in the workloads above it
-(per-K sweep instances, per-support trail searches, per-combination
-synthesis verdicts) is heavily skewed — one pathological instance can
-hang or OOM while its siblings finish in milliseconds — and with the
-plain pool a single crashed worker used to take the whole run with it.
-:func:`supervise_work_items` runs work under a
-:class:`SupervisorPolicy`:
+Every engine fan-out (per-K sweep instances, per-support trail searches,
+per-protocol fuzzing audits, per-combination synthesis verdicts) goes
+through :func:`supervise_work_items`.  It runs a batch in exactly one of
+two ways:
+
+* the **serial loop** — in-parent, in item order, when nothing needs a
+  child process: ``jobs <= 1``, a single pending item, or a platform
+  without a usable start method;
+* the **batch scheduler** (:class:`repro.engine.scheduler.BatchScheduler`)
+  — persistent supervised workers pulling adaptively sized batches,
+  whenever the call would fork: ``jobs > 1`` with more than one pending
+  item, a per-task ``timeout``, or injected faults.  A single pending
+  supervised task runs on one worker.
+
+Per-item cost in these workloads is heavily skewed — one pathological
+instance can hang or OOM while its siblings finish in milliseconds — so
+the scheduler supervises at *task* granularity under a
+:class:`SupervisorPolicy` (the default one when the caller gives none):
 
 * **timeouts** — a task exceeding the per-task wall-clock budget is
   SIGKILLed and retried with exponential backoff;
 * **crash isolation** — a worker that dies (segfault, OOM kill,
-  injected SIGKILL) fails only its own task, which is retried on a
-  fresh child; sibling tasks keep running;
+  injected SIGKILL) fails only its in-flight task, which is retried;
+  sibling tasks keep running;
 * **degradation** — a task that exhausts its retry budget is executed
   once more *in the parent process* through the caller's fallback
   worker (the serial naive backend at the engine call sites) instead of
   aborting the run;
 * **checkpointing** — with a :class:`repro.engine.journal.RunJournal`,
-  every completed item is durably appended before the supervisor moves
-  on, and items already in the journal are returned without
-  re-execution (``repro sweep --resume``);
+  every completed item is durably appended, and items already in the
+  journal are returned without re-execution (``repro sweep --resume``);
 * **observability** — ``task-timeout`` / ``task-retry`` /
   ``task-degraded`` / ``task-resumed`` events, ``supervisor.*``
-  counters, and per-item span adoption exactly like the plain pool.
+  counters, and per-item span adoption; every serial-loop run records
+  its reason (``jobs<=1``, ``single-item``, ``no-fork``) as a
+  ``pool-fallback`` event and a ``pool.fallbacks`` count.
 
-Two execution strategies provide those guarantees (``--schedule``):
+Both ways share one :class:`TaskLedger` — the resume/checkpoint/retry/
+degrade bookkeeping — so verdicts are identical by construction; the
+property-based differential harness checks it anyway.
 
-* **task mode** (:class:`_Supervisor`, the PR 5 design) forks one child
-  per task *attempt* — maximal isolation, one fork + one pipe
-  round-trip of overhead per task;
-* **batch mode** (:class:`repro.engine.scheduler.BatchScheduler`) keeps
-  a pool of persistent supervised workers pulling adaptively sized
-  batches from a shared queue — the same per-*task* supervision
-  semantics (heartbeat-armed timeouts, crash isolates to the in-flight
-  task, the rest of a dead worker's batch is requeued without spending
-  retry budget) at a fraction of the dispatch cost.
-
-``schedule="auto"`` (the default everywhere) picks batch mode whenever
-children would be forked anyway and there is more than one task.  Both
-strategies share one :class:`TaskLedger` — the resume/checkpoint/
-retry/degrade bookkeeping — so verdicts are identical by construction;
-the property-based differential harness checks it anyway.
-
-When no policy, journal or fault plan is given the call delegates to
-:func:`run_work_items` unchanged — supervision is strictly opt-in and
-the fast path stays the fast path.
-
-Unlike the pool (which pickles only item indices), the supervisor forks
-children that inherit worker, context and items, so all three may hold
-unpicklable objects; only results cross the pipe.  A worker
+Workers are forked and inherit worker, context and items, so all three
+may hold unpicklable objects; only results cross the pipe.  A worker
 *exception* (as opposed to a death) is treated as deterministic: it is
 not retried but re-raised in the parent with the remote traceback
-chained, matching the pool's contract.
+chained.
 
 Fault injection (:class:`FaultPlan`) is part of the module on purpose:
 the property-based differential suite and the CI smoke job inject
@@ -65,31 +57,22 @@ in production).
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import os
-import signal
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.engine.pool import (
     WorkerFailure,
-    _record_fallback,
     parallelism_available,
-    run_work_items,
     spawn_dispatch_available,
     start_method,
 )
 from repro.obs import live
 from repro.obs import runtime as obs
-from repro.obs.metrics import Histogram
 
 #: Environment variable read by :meth:`FaultPlan.from_env`.
 FAULT_ENV = "REPRO_INJECT_FAULT"
-
-#: Valid ``schedule=`` arguments of :func:`supervise_work_items`.
-SCHEDULES = ("auto", "batch", "task")
 
 
 class SupervisorError(Exception):
@@ -203,47 +186,6 @@ class FaultPlan:
 
 
 # ----------------------------------------------------------------------
-# child side (task mode: one fork per attempt)
-# ----------------------------------------------------------------------
-def _child_main(worker, context, item, index: int, attempt: int,
-                conn, plan: FaultPlan | None) -> None:
-    """Run one work item in a forked child and ship the result back.
-
-    Everything arrives by fork inheritance (nothing here is pickled on
-    the way in), so unpicklable workers/contexts/items are fine; the
-    result — or a :class:`WorkerFailure` — is the only thing sent.
-    """
-    fault = plan.child_fault(index, attempt) if plan is not None else None
-    if fault == "crash":
-        os.kill(os.getpid(), signal.SIGKILL)
-    if fault == "hang":
-        time.sleep(plan.hang_seconds)
-    if plan is not None:
-        plan.child_delay()
-    inherited = obs.fork_capture_begin()
-    try:
-        try:
-            outcome: Any = ("ok", worker(context, item))
-        except BaseException as exc:
-            outcome = ("failed", WorkerFailure.capture(exc))
-    finally:
-        capture = obs.fork_capture_end(inherited)
-    try:
-        conn.send((outcome, capture))
-    except Exception as exc:
-        # Unpicklable result: tell the parent why instead of presenting
-        # as a crash (the parent degrades this task, not the batch).
-        try:
-            conn.send(((
-                "unpicklable",
-                f"{type(exc).__name__}: {exc}"), None))
-        except Exception:
-            pass
-    conn.close()
-    os._exit(0)
-
-
-# ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
 @dataclass
@@ -254,15 +196,6 @@ class _Task:
     ready_at: float = 0.0
 
 
-@dataclass
-class _Running:
-    task: _Task
-    process: Any
-    conn: Any
-    deadline: float | None
-    started: float = 0.0
-
-
 def _bump(stats: Any, attribute: str, metric: str,
           amount: float = 1) -> None:
     obs.metric(metric, amount)
@@ -271,14 +204,15 @@ def _bump(stats: Any, attribute: str, metric: str,
 
 
 class TaskLedger:
-    """The supervision bookkeeping both execution strategies share.
+    """The supervision bookkeeping the serial loop and the batch
+    scheduler share.
 
     Resume-from-journal, completion checkpointing, the retry/degrade
     ladder, deterministic-failure latching and result ordering all live
-    here; :class:`_Supervisor` (task mode) and
-    :class:`repro.engine.scheduler.BatchScheduler` (batch mode) are
-    pure execution strategies over one ledger — which is what makes
-    their verdicts identical by construction.
+    here; :meth:`run_serial` and
+    :class:`repro.engine.scheduler.BatchScheduler` are pure execution
+    strategies over one ledger — which is what makes their verdicts
+    identical by construction.
     """
 
     def __init__(self, worker, work: Sequence[Any], context: Any,
@@ -378,10 +312,12 @@ class TaskLedger:
 
     # -- serial mode (no children needed / no fork available) ----------
     def run_serial(self, pending: list[_Task], reason: str) -> None:
-        if reason == "no-fork":
-            _record_fallback(self.stats, reason, len(pending))
-        obs.event("supervisor-serial", reason=reason,
-                  items=len(pending))
+        """Run *pending* in-parent, in order; *reason* says why no
+        child was forked (``jobs<=1``, ``single-item`` or ``no-fork``)."""
+        expected = reason in ("jobs<=1", "single-item")
+        obs.event("pool-fallback", level="info" if expected else "warning",
+                  reason=reason, items=len(pending))
+        _bump(self.stats, "pool_fallbacks", "pool.fallbacks")
         with obs.span("supervisor.serial", reason=reason,
                       items=len(pending)):
             for task in pending:
@@ -393,179 +329,6 @@ class TaskLedger:
 
     def ordered_results(self) -> list[Any]:
         return [self.results[i] for i in range(len(self.work))]
-
-
-class _Supervisor:
-    """Task-mode execution: one forked child per task attempt."""
-
-    def __init__(self, ledger: TaskLedger, jobs: int) -> None:
-        self.ledger = ledger
-        self.jobs = max(1, jobs)
-        self.policy = ledger.policy
-        self._mp = multiprocessing.get_context("fork")
-        # Local (not ambient) so stall detection works without --trace.
-        self.durations = Histogram("supervisor.task_seconds")
-
-    def _spawn(self, task: _Task) -> _Running:
-        ledger = self.ledger
-        receiver, sender = self._mp.Pipe(duplex=False)
-        process = self._mp.Process(
-            target=_child_main,
-            args=(ledger.worker, ledger.context, ledger.work[task.index],
-                  task.index, task.attempts, sender, ledger.plan),
-            daemon=True)
-        process.start()
-        sender.close()  # the child's end lives in the child
-        deadline = (time.monotonic() + self.policy.timeout
-                    if self.policy.timeout is not None else None)
-        return _Running(task=task, process=process, conn=receiver,
-                        deadline=deadline, started=time.monotonic())
-
-    def _reap(self, running: _Running) -> None:
-        running.conn.close()
-        running.process.join(timeout=5.0)
-
-    def _kill(self, running: _Running) -> None:
-        try:
-            running.process.kill()
-        except Exception:
-            pass
-        self._reap(running)
-
-    def _requeue(self, task: _Task, reason: str,
-                 pending: list[_Task]) -> None:
-        requeued = self.ledger.retry_or_degrade(task, reason)
-        if requeued is not None:
-            pending.append(requeued)
-
-    def _handle_message(self, running: _Running,
-                        pending: list[_Task]) -> None:
-        task = running.task
-        try:
-            (status, value), capture = running.conn.recv()
-        except (EOFError, OSError):
-            self._reap(running)
-            self._requeue(task, "worker-died", pending)
-            return
-        self._reap(running)
-        self.durations.observe(time.monotonic() - running.started)
-        obs.adopt_child(capture, f"item[{task.index}]",
-                        attempt=task.attempts)
-        if status == "ok":
-            self.ledger.complete(task, value)
-        elif status == "failed":
-            # Deterministic worker exception: no retry; re-raised (with
-            # the remote traceback chained) once in-flight siblings are
-            # drained.
-            self.ledger.record_failure(task, value)
-        else:  # unpicklable result
-            self.ledger.degrade(task, f"unpicklable-result ({value})")
-
-    def run_supervised(self, pending: list[_Task]) -> None:
-        ledger = self.ledger
-        slots = min(self.jobs, max(1, len(pending)))
-        queue = list(pending)
-        running: list[_Running] = []
-        if ledger.stats is not None and slots > 1:
-            ledger.stats.parallel = True
-        with obs.span("supervisor.map", jobs=self.jobs,
-                      items=len(queue),
-                      timeout=self.policy.timeout,
-                      retries=self.policy.retries):
-            try:
-                while (queue or running) and ledger.failure is None:
-                    now = time.monotonic()
-                    # Launch every ready task into a free slot.
-                    still_waiting: list[_Task] = []
-                    for task in queue:
-                        if len(running) < slots and task.ready_at <= now:
-                            running.append(self._spawn(task))
-                        else:
-                            still_waiting.append(task)
-                    queue = still_waiting
-                    if not running:
-                        # Everything is backing off; sleep to the first
-                        # ready time.
-                        wake = min(t.ready_at for t in queue)
-                        time.sleep(max(0.0, min(wake - now, 0.25)))
-                        continue
-                    timeout = self._wait_timeout(queue, running, now)
-                    ready = multiprocessing.connection.wait(
-                        [r.conn for r in running]
-                        + [r.process.sentinel for r in running],
-                        timeout=timeout)
-                    ready_set = set(ready)
-                    now = time.monotonic()
-                    survivors: list[_Running] = []
-                    for item in running:
-                        if item.conn in ready_set or item.conn.poll():
-                            self._handle_message(item, queue)
-                        elif item.process.sentinel in ready_set:
-                            # Child died without delivering a result.
-                            self._reap(item)
-                            self._requeue(item.task, "worker-died",
-                                          queue)
-                        elif item.deadline is not None \
-                                and now >= item.deadline:
-                            self._kill(item)
-                            obs.event("task-timeout", level="warning",
-                                      index=item.task.index,
-                                      key=item.task.key,
-                                      attempt=item.task.attempts,
-                                      timeout_seconds=self.policy.timeout)
-                            _bump(ledger.stats, "supervisor_timeouts",
-                                  "supervisor.timeouts")
-                            self._requeue(item.task, "timeout", queue)
-                        else:
-                            survivors.append(item)
-                    running = survivors
-                    live.tick(lambda: self._live_payload(
-                        running, len(queue)))
-            finally:
-                for item in running:
-                    self._kill(item)
-
-    def _live_payload(self, running: list[_Running],
-                      queued: int) -> dict[str, Any]:
-        """Extra snapshot fields for the live plane (built only when a
-        snapshot is actually due — see :func:`repro.obs.live.tick`)."""
-        now = time.monotonic()
-        p95 = self.durations.quantile(0.95)
-        threshold = live.stall_threshold(p95)
-        workers = []
-        for item in running:
-            age = now - item.started
-            workers.append({
-                "ident": item.process.pid, "pid": item.process.pid,
-                "busy": True, "task": item.task.index,
-                "age_seconds": round(age, 3),
-                "stalled": age > threshold})
-        mean = self.durations.mean if self.durations.count else None
-        remaining = queued + len(running)
-        stage: dict[str, Any] = {"mode": "task"}
-        if mean is not None:
-            stage["ewma_task_seconds"] = mean
-            stage["eta_seconds"] = round(
-                remaining * mean / max(1, self.jobs), 3)
-        if p95 is not None:
-            stage["p95_task_seconds"] = p95
-        payload = {"workers": workers, "stage": stage,
-                   "tasks": {"in_flight": len(running)}}
-        payload.update(live.cache_payload(self.ledger.stats))
-        return payload
-
-    def _wait_timeout(self, queue: list[_Task],
-                      running: list[_Running], now: float) -> float:
-        horizon = 0.5
-        deadlines = [r.deadline for r in running
-                     if r.deadline is not None]
-        if deadlines:
-            horizon = min(horizon, max(0.0, min(deadlines) - now))
-        if queue:
-            wake = min(t.ready_at for t in queue)
-            if wake > now:
-                horizon = min(horizon, wake - now)
-        return max(horizon, 0.005)
 
 
 def _spawn_dispatchable(ledger: "TaskLedger", portable) -> bool:
@@ -598,27 +361,28 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
                          fallback_worker: Callable[[Any, Any], Any]
                          | None = None,
                          plan: FaultPlan | None = None,
-                         schedule: str = "auto",
                          batch_size: int | None = None,
                          prewarm: Callable[[], None] | None = None,
                          portable=None,
                          ) -> list[Any]:
-    """Apply ``worker(context, item)`` to every item under supervision.
+    """Apply ``worker(context, item)`` to every item; results in order.
 
-    Drop-in superset of :func:`repro.engine.run_work_items`: with no
-    *policy*, *journal* or fault plan (and *schedule* not forced to
-    ``"batch"``) the call delegates there unchanged.  Otherwise work
-    runs under the *policy*'s timeout/retry/degradation ladder, results
-    come back in item order, and — when *journal* and *keys* (one per
-    item) are given — completed items are checkpointed durably and
-    journal hits are returned without re-execution.
+    *worker* must be a module-level function when spawn dispatch is in
+    play; under fork, *worker*, *context* and *items* may hold
+    unpicklable objects, but each **result** must pickle (an unpicklable
+    result degrades that task to the in-parent fallback).
 
-    *schedule* picks the execution strategy: ``"task"`` forks one child
-    per attempt (the PR 5 design), ``"batch"`` runs persistent workers
-    pulling adaptively sized batches (*batch_size* pins the size), and
-    ``"auto"`` — the default — uses batch mode whenever children would
-    be forked anyway and more than one task is pending.  Verdicts are
-    identical across schedules; only dispatch overhead differs.
+    The call forks — through :class:`repro.engine.scheduler.BatchScheduler`
+    — when ``jobs > 1`` and more than one item is pending, when
+    *policy* sets a timeout, or when a fault *plan* is injected; a
+    single pending task then runs on one worker.  Otherwise
+    the items run in the parent's serial loop.  Either way the work
+    runs under *policy*'s retry/degradation ladder (the default
+    :class:`SupervisorPolicy` when ``None``), and — when *journal* and
+    *keys* (one per item) are given — completed items are checkpointed
+    durably and journal hits are returned without re-execution.
+    *batch_size* pins the scheduler's batch size instead of adapting it.
+    *stats*, when given, is an :class:`repro.engine.EngineStats`.
 
     *prewarm*, when given, is called once in the parent immediately
     before children are forked — the engine call sites compile the
@@ -629,24 +393,16 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     engine call sites pass the serial naive backend); it defaults to
     *worker*.  On a platform without ``fork`` everything runs serially
     in-parent (journaling still works; timeouts cannot be enforced and
-    ``supervisor-serial`` / ``pool-fallback`` events say so) — unless
+    a ``pool-fallback`` event with reason ``no-fork`` says so) — unless
     *portable* (a :class:`repro.engine.pool.PortableContext`) is given
-    and the whole worker payload pickles, in which case batch mode runs
-    over **spawned** persistent workers that rebuild the context from
+    and the whole worker payload pickles, in which case the scheduler
+    runs **spawned** persistent workers that rebuild the context from
     the portable recipe and attach the parent's published artifacts by
     fingerprint instead of recompiling.
     """
-    if schedule not in SCHEDULES:
-        raise ValueError(f"unknown schedule {schedule!r} "
-                         f"(expected one of {', '.join(SCHEDULES)})")
     work = list(items)
     if plan is None:
         plan = FaultPlan.from_env()
-    supervised = (policy is not None or journal is not None
-                  or plan is not None)
-    if not supervised and schedule != "batch":
-        return run_work_items(worker, work, jobs=jobs, context=context,
-                              stats=stats, portable=portable)
     if journal is not None and (keys is None or len(keys) != len(work)):
         raise ValueError("journaling needs one key per work item")
     policy = policy or SupervisorPolicy()
@@ -659,36 +415,29 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
                      resumed=len(work) - len(pending))
     live.tick()
     if pending:
-        fork = parallelism_available()
-        spawn = (not fork and portable is not None
+        forks = (jobs > 1 and len(pending) > 1
+                 or policy.timeout is not None or plan is not None)
+        fork = forks and parallelism_available()
+        spawn = (forks and not fork and portable is not None
                  and _spawn_dispatchable(ledger, portable))
-        injected = plan is not None and (plan.crash_items
-                                         or plan.hang_items
-                                         or plan.delay_seconds)
-        wants_children = (policy.timeout is not None or jobs > 1
-                          or injected)
-        use_batch = ((fork or spawn) and len(pending) > 1
-                     and (schedule == "batch"
-                          or (schedule == "auto" and wants_children)))
-        use_task = fork and wants_children and not use_batch
-        if (use_batch or use_task) and prewarm is not None:
-            # Fork workers inherit what prewarm compiles; spawn workers
-            # attach what prewarm *publishes* to the artifact store.
-            with obs.span("scheduler.prewarm"):
-                prewarm()
-        if use_batch:
+        if not forks:
+            ledger.run_serial(pending, "jobs<=1" if jobs <= 1
+                              else "single-item")
+        elif not (fork or spawn):
+            ledger.run_serial(pending, "no-fork")
+        else:
+            if prewarm is not None:
+                # Fork workers inherit what prewarm compiles; spawn
+                # workers attach what prewarm *publishes* to the
+                # artifact store.
+                with obs.span("scheduler.prewarm"):
+                    prewarm()
             from repro.engine.scheduler import BatchScheduler
 
             BatchScheduler(ledger, jobs=jobs, batch_size=batch_size,
                            start_method="fork" if fork else "spawn",
                            portable=portable if not fork else None,
                            ).run(pending)
-        elif use_task:
-            _Supervisor(ledger, jobs).run_supervised(pending)
-        else:
-            ledger.run_serial(
-                pending, "no-fork" if not fork else
-                "nothing-to-supervise")
     if ledger.failure is not None:
         ledger.failure.reraise()
     return ledger.ordered_results()

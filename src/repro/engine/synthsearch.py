@@ -43,12 +43,12 @@ parent's evaluation state is checkpointed in place:
 
 Parallel runs partition the pending combinations into contiguous
 subtree work units dispatched through
-:func:`repro.engine.supervisor.supervise_work_items` (task, batch and
-serial schedules alike); each unit is evaluated self-contained, so
-verdicts are byte-identical for every ``--jobs``/``--schedule``
-setting.  Under a :class:`repro.engine.journal.RunJournal` the units
-additionally exchange exact trail results through a :class:`PruneBoard`
-(an append-only ``prunes.jsonl`` next to the journal): workers publish
+:func:`repro.engine.supervisor.supervise_work_items` (batch scheduler
+or serial loop alike); each unit is evaluated self-contained, so
+verdicts are byte-identical for every ``--jobs`` setting.  Under a
+:class:`repro.engine.journal.RunJournal` the units additionally
+exchange exact trail results through a :class:`PruneBoard` (an
+append-only ``prunes.jsonl`` next to the journal): workers publish
 newly searched support heads after each unit and absorb the board's
 delta before the next one, so prune knowledge crosses process
 boundaries between batches.  The board only ever short-circuits
@@ -460,7 +460,7 @@ class LatticeWalker:
             # the *inherited* witness only: whether a node needed new
             # support examination is intrinsic to its transition set,
             # so the pruned/evaluated split is identical for every
-            # jobs/schedule partitioning.  The blocked-index seed only
+            # jobs partitioning.  The blocked-index seed only
             # decides how far the examination actually searches.
             if inherited is None or shortest <= inherited[0][0]:
                 # A blocked-index hit below the inherited key can only
@@ -581,7 +581,6 @@ class LatticeSearch:
         self.jobs = synthesizer.jobs
         self.policy = synthesizer.policy
         self.journal = synthesizer.journal
-        self.schedule = synthesizer.schedule
         self.batch_size = synthesizer.batch_size
         self.fault_plan = getattr(synthesizer, "fault_plan", None)
         self._name = f"{self.protocol.name}_ss"
@@ -729,8 +728,7 @@ class LatticeSearch:
             return [uniform] * len(combos)
         units = self._plan_units(combos)
         supervised = (self.policy is not None or self.journal is not None
-                      or self.fault_plan is not None
-                      or self.schedule == "batch")
+                      or self.fault_plan is not None)
         if supervised or (self.jobs > 1 and len(units) > 1):
             items = [combos[start:end] for start, end in units]
             keys = ([self._unit_key(item) for item in items]
@@ -740,8 +738,7 @@ class LatticeSearch:
                 context=synthesizer, stats=self.stats,
                 policy=self.policy, journal=self.journal, keys=keys,
                 fallback_worker=_lattice_unit_worker,
-                plan=self.fault_plan,
-                schedule=self.schedule, batch_size=self.batch_size,
+                plan=self.fault_plan, batch_size=self.batch_size,
                 prewarm=self._prewarm)
             reasons: list[str | None] = []
             for unit_reasons, delta in results:

@@ -14,7 +14,7 @@ Design constraints, in order:
 * **Bounded write cost.**  Snapshots are rate-limited to one per
   :data:`DEFAULT_INTERVAL` seconds (the :meth:`LiveRun.due` check is a
   single monotonic-clock comparison, so heartbeat call sites in the
-  scheduler / supervisor / pool loops pay nothing between publishes),
+  scheduler and serial loops pay nothing between publishes),
   and each publish is one small JSON document.
 * **Atomic replacement.**  The snapshot is written to a temporary file
   in the same directory and ``os.replace``-d over ``status.json``, so

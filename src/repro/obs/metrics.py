@@ -3,12 +3,12 @@
 One :class:`MetricsRegistry` holds every metric of a run (or of one
 :class:`repro.engine.EngineStats`).  All three metric kinds merge
 pairwise with an associative operation, so per-worker registries
-serialized back from a fork pool, per-K report registries and the
+serialized back from forked workers, per-K report registries and the
 enclosing run's registry combine through a single code path —
 :meth:`MetricsRegistry.merge` — regardless of grouping.
 
 Everything here is picklable and depends only on the standard library:
-registries travel across the fork-pool pipe and into cached analysis
+registries travel across the worker result pipe and into cached analysis
 reports.
 """
 
@@ -21,7 +21,7 @@ from typing import Any, Iterator
 #: bounds ``_BUCKET_BASE * 2**i`` from 1 µs up to ~134 s, one overflow
 #: bucket above.  Fixed boundaries keep bucket counts associative under
 #: :meth:`Histogram.merge`, which is what lets quantile estimates
-#: survive the fork-pool registry folding unchanged.
+#: survive the worker registry folding unchanged.
 _BUCKET_BASE = 1e-6
 _BUCKET_COUNT = 28
 

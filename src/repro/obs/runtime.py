@@ -6,15 +6,17 @@ no run is active every helper is a near-free no-op — one global check —
 so library users pay nothing; the CLI's ``--trace`` / ``--log-json``
 flags (and the benchmark harness) activate a run around each command.
 
-Fork-pool protocol: :func:`repro.engine.run_work_items` calls
-:func:`fork_capture_begin` / :func:`fork_capture_end` around each work
-item executed in a forked child.  The child inherited the parent's
-active run at fork time; the pair swaps in a fresh capture run, lets
-the worker record spans / metrics / events into it, and returns the
-picklable :class:`ChildCapture` with the item's result.  The parent
-then grafts it back with :func:`adopt_child`, re-parenting the worker
-spans under the dispatching span and folding the worker metrics into
-the run registry, so a ``--jobs 8`` sweep yields one coherent trace.
+Worker capture protocol: the batch scheduler's persistent workers
+(:mod:`repro.engine.scheduler`) call :func:`fork_capture_begin` /
+:func:`fork_capture_end` around each work item they execute.  A forked
+worker inherited the parent's active run at fork time (a spawned one
+starts its own); the pair swaps in a fresh capture run, lets the worker
+record spans / metrics / events into it, and returns the picklable
+:class:`ChildCapture` with the item's result.  The parent then grafts
+it back with :func:`adopt_child`, re-parenting the worker spans as an
+``item[i]`` subtree under the dispatching ``scheduler.map`` span and
+folding the worker metrics into the run registry, so a ``--jobs 8``
+sweep yields one coherent trace.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def observe(name: str, value: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# Fork-pool capture protocol
+# Worker capture protocol
 # ----------------------------------------------------------------------
 def fork_capture_begin() -> ObsRun | None:
     """In a forked worker: swap in a fresh capture run.

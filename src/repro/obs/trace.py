@@ -8,14 +8,14 @@ trees.
 
 Design constraints, in order:
 
-* **Picklable spans.**  Spans recorded inside forked pool workers are
+* **Picklable spans.**  Spans recorded inside forked worker processes are
   serialized back with each work-item result and re-parented under the
   dispatching span (:meth:`Tracer.adopt`), so one ``--jobs 8`` sweep
   still yields a single coherent trace.  Spans therefore carry plain
   data only.
 * **Two clocks.**  ``start`` is wall-clock epoch seconds
-  (``time.time()`` — meaningful across processes, which fork pools
-  require); ``duration`` is a monotonic ``time.perf_counter()`` delta
+  (``time.time()`` — meaningful across processes, which forked
+  workers require); ``duration`` is a monotonic ``time.perf_counter()`` delta
   (immune to clock steps).  Exporters combine both.
 * **Cheap.**  Opening a span is one object construction and two list
   operations; instrumented call sites are coarse (stages, per-K
@@ -109,7 +109,7 @@ class Tracer:
     def adopt(self, spans: list[Span]) -> None:
         """Re-parent already-finished *spans* under the current span.
 
-        Used to graft span trees serialized back from forked pool
+        Used to graft span trees serialized back from forked
         workers into the dispatching process's trace.
         """
         parent = self.current

@@ -1,7 +1,8 @@
 """Spawn-only platforms: every entry point must fall back serially.
 
-The engine's parallel and supervised paths all require the ``fork``
-start method (workers inherit unpicklable workers/contexts/items).  On
+The engine's batch scheduler requires the ``fork`` start method
+(workers inherit unpicklable workers/contexts/items) unless a portable
+context allows spawn.  On
 a platform without it — macOS defaults and Windows are spawn-only —
 the contract is a *clean* degradation: identical results, computed
 serially in-parent, with a ``pool-fallback`` observability event
@@ -60,13 +61,15 @@ class TestSpawnOnlyFallback:
         assert _fallback_events(run)
 
     def test_forced_batch_schedule_also_degrades(self, spawn_only):
-        # schedule="batch" cannot run without fork either; it must
-        # degrade exactly like auto instead of crashing.
+        # An unsupervised jobs=2 fan-out would run on the batch
+        # scheduler; without fork (and without a portable context) it
+        # must degrade exactly like a supervised one instead of crashing.
+        stats = EngineStats()
         with obs.run("no-fork-batch") as run:
-            results = supervise_work_items(
-                square, range(4), jobs=2, schedule="batch",
-                policy=SupervisorPolicy(backoff=0.01))
+            results = supervise_work_items(square, range(4), jobs=2,
+                                           stats=stats)
         assert results == [0, 1, 4, 9]
+        assert stats.scheduler_batches == 0
         assert _fallback_events(run)
 
     def test_sweep_verify(self, spawn_only):

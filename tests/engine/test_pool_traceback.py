@@ -15,7 +15,7 @@ import pickle
 
 import pytest
 
-from repro.engine import EngineStats, run_work_items
+from repro.engine import EngineStats, supervise_work_items
 from repro.engine.pool import (
     WorkerFailure,
     WorkerTraceback,
@@ -52,7 +52,7 @@ class TestRemoteTraceback:
     def test_parallel_worker_error_keeps_remote_frames(self):
         with pytest.raises(ZeroDivisionError,
                            match="synthetic failure") as info:
-            run_work_items(_worker_that_raises, range(4), jobs=2)
+            supervise_work_items(_worker_that_raises, range(4), jobs=2)
         cause = info.value.__cause__
         assert isinstance(cause, WorkerTraceback)
         # The worker-side frames survive the process boundary.
@@ -64,19 +64,21 @@ class TestRemoteTraceback:
                                                             recwarn):
         stats = EngineStats()
         with pytest.raises(ZeroDivisionError):
-            run_work_items(_worker_that_raises, range(4), jobs=2,
-                           stats=stats)
-        # No "recomputing ... serially" RuntimeWarning, no fallback
-        # counted: the deterministic error is raised once, directly.
+            supervise_work_items(_worker_that_raises, range(4), jobs=2,
+                                 stats=stats)
+        # No RuntimeWarning, no fallback, no retry or in-parent
+        # degradation: the deterministic error is raised once, directly.
         assert not [w for w in recwarn.list
                     if issubclass(w.category, RuntimeWarning)]
         assert stats.pool_fallbacks == 0
+        assert stats.supervisor_retries == 0
+        assert stats.supervisor_degraded == 0
 
     def test_unpicklable_exception_degrades_to_runtime_error(self):
         with pytest.raises(RuntimeError,
                            match="unpicklable exception") as info:
-            run_work_items(_worker_unpicklable_exception, range(2),
-                           jobs=2)
+            supervise_work_items(_worker_unpicklable_exception,
+                                 range(2), jobs=2)
         cause = info.value.__cause__
         assert isinstance(cause, WorkerTraceback)
         assert "StubbornError" in cause.text

@@ -10,8 +10,16 @@ on tiny synthetic workers.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.engine import EngineStats
 from repro.engine.journal import RunJournal
 from repro.engine.pool import WorkerTraceback, parallelism_available
@@ -103,15 +111,11 @@ class TestCostModel:
 # routing, validation, prewarm
 # ----------------------------------------------------------------------
 class TestRouting:
-    def test_unknown_schedule_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown schedule"):
-            supervise_work_items(square, range(3), schedule="bogus")
-
     @needs_fork
     def test_prewarm_runs_once_in_the_parent(self):
         calls = []
         results = supervise_work_items(
-            square, range(6), jobs=2, schedule="batch",
+            square, range(6), jobs=2,
             policy=SupervisorPolicy(backoff=0.01),
             prewarm=lambda: calls.append(1))
         assert results == [i * i for i in range(6)]
@@ -120,7 +124,7 @@ class TestRouting:
     def test_prewarm_is_skipped_when_nothing_forks(self):
         calls = []
         results = supervise_work_items(
-            square, range(3), jobs=1, schedule="auto",
+            square, range(3), jobs=1,
             policy=SupervisorPolicy(),  # no timeout: serial in-parent
             prewarm=lambda: calls.append(1))
         assert results == [0, 1, 4]
@@ -128,32 +132,62 @@ class TestRouting:
 
     @needs_fork
     def test_schedules_agree_on_results_and_stats_tell_them_apart(self):
+        # The two execution paths: the in-parent serial loop (jobs=1)
+        # and the batch scheduler (jobs=2).  Same results; the stats
+        # say which one ran.
         outcomes = {}
-        for schedule in ("task", "batch"):
-            stats = EngineStats()
-            outcomes[schedule] = supervise_work_items(
-                square, range(8), jobs=2, stats=stats,
-                policy=SupervisorPolicy(timeout=30.0, backoff=0.01),
-                schedule=schedule)
-            if schedule == "batch":
+        for jobs in (1, 2):
+            stats = EngineStats(jobs=jobs)
+            outcomes[jobs] = supervise_work_items(
+                square, range(8), jobs=jobs, stats=stats,
+                policy=SupervisorPolicy(backoff=0.01))
+            if jobs > 1:
                 assert stats.scheduler_batches > 0
                 assert stats.scheduler_batch_items == 8
+                assert stats.pool_fallbacks == 0
             else:
                 assert stats.scheduler_batches == 0
-        assert outcomes["task"] == outcomes["batch"] == [
-            i * i for i in range(8)]
+                assert stats.pool_fallbacks == 1
+        assert outcomes[1] == outcomes[2] == [i * i for i in range(8)]
+
+    @needs_fork
+    def test_injected_fault_plan_always_forks(self):
+        # Fault injection exists to exercise the forking path, so even
+        # a jobs=1 run without a deadline goes to the scheduler.
+        stats = EngineStats()
+        results = supervise_work_items(
+            square, range(3), jobs=1, stats=stats,
+            plan=FaultPlan(die_after_checkpoints=99))
+        assert results == [0, 1, 4]
+        assert stats.scheduler_batches > 0
+        assert stats.pool_fallbacks == 0
+
+    @needs_fork
+    def test_single_supervised_task_runs_on_one_worker(self):
+        # `repro check --timeout`: one pending item under a deadline
+        # still forks (the deadline needs a killable child), on exactly
+        # one worker.
+        stats = EngineStats()
+        results = supervise_work_items(
+            square, [7], jobs=4, stats=stats,
+            policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
+        assert results == [49]
+        assert stats.scheduler_batches == 1
+        assert not stats.parallel
+        assert stats.pool_fallbacks == 0
 
 
 # ----------------------------------------------------------------------
-# batch execution mechanics
+# batch execution mechanics (a jobs=1 run forks its one worker only
+# under a deadline, hence the generous timeouts below)
 # ----------------------------------------------------------------------
 @needs_fork
 class TestBatchExecution:
     def test_pinned_batch_size_shapes_the_dispatch(self):
         stats = EngineStats()
         results = supervise_work_items(
-            square, range(9), jobs=1, stats=stats, schedule="batch",
-            batch_size=3, policy=SupervisorPolicy(backoff=0.01))
+            square, range(9), jobs=1, stats=stats, batch_size=3,
+            policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
         assert results == [i * i for i in range(9)]
         assert stats.scheduler_batches == 3  # ceil(9 / 3), one worker
         assert stats.scheduler_batch_items == 9
@@ -165,9 +199,9 @@ class TestBatchExecution:
         worker = crashing_worker(crash_items={0})
         stats = EngineStats()
         results = supervise_work_items(
-            worker, range(6), jobs=1, stats=stats, schedule="batch",
-            batch_size=6, policy=SupervisorPolicy(retries=1,
-                                                  backoff=0.01))
+            worker, range(6), jobs=1, stats=stats, batch_size=6,
+            policy=SupervisorPolicy(timeout=30.0, retries=1,
+                                    backoff=0.01))
         assert results == [i * i for i in range(6)]
         assert stats.supervisor_retries == 1
         assert stats.scheduler_requeued == 5
@@ -178,7 +212,7 @@ class TestBatchExecution:
     def test_injected_crash_via_fault_plan(self):
         stats = EngineStats()
         results = supervise_work_items(
-            square, range(4), jobs=2, stats=stats, schedule="batch",
+            square, range(4), jobs=2, stats=stats,
             policy=SupervisorPolicy(backoff=0.01),
             plan=FaultPlan(crash_items=frozenset({0})))
         assert results == [0, 1, 4, 9]
@@ -189,8 +223,7 @@ class TestBatchExecution:
         worker = hanging_worker(hang_items={0})
         stats = EngineStats()
         results = supervise_work_items(
-            worker, range(5), jobs=1, stats=stats, schedule="batch",
-            batch_size=5,
+            worker, range(5), jobs=1, stats=stats, batch_size=5,
             policy=SupervisorPolicy(timeout=0.4, retries=2,
                                     backoff=0.01))
         assert results == [i * i for i in range(5)]
@@ -206,7 +239,7 @@ class TestBatchExecution:
 
         with pytest.raises(ValueError, match="item 2 is cursed") as info:
             supervise_work_items(
-                cursed, range(4), jobs=2, schedule="batch",
+                cursed, range(4), jobs=2,
                 policy=SupervisorPolicy(backoff=0.01))
         cause = info.value.__cause__
         assert isinstance(cause, WorkerTraceback)
@@ -223,8 +256,9 @@ class TestBatchExecution:
 
         with pytest.raises(RuntimeError, match="deterministic"):
             supervise_work_items(
-                counting_failure, range(2), jobs=1, schedule="batch",
-                policy=SupervisorPolicy(retries=3, backoff=0.01))
+                counting_failure, range(2), jobs=1,
+                policy=SupervisorPolicy(timeout=30.0, retries=3,
+                                        backoff=0.01))
         # The failing item ran exactly once; no retry burned on a
         # deterministic exception.
         calls = [p.name for p in counter_dir.iterdir()]
@@ -238,8 +272,7 @@ class TestBatchExecution:
         stats = EngineStats()
         results = supervise_work_items(
             lambda_result, [3, 4], jobs=1, stats=stats,
-            schedule="batch",
-            policy=SupervisorPolicy(backoff=0.01),
+            policy=SupervisorPolicy(timeout=30.0, backoff=0.01),
             fallback_worker=identity_fallback)
         assert results == [9, 16]
         assert stats.supervisor_degraded == 2
@@ -255,9 +288,9 @@ class TestBatchExecution:
 
         with pytest.raises(SupervisorError, match="degradation"):
             supervise_work_items(
-                always_crashes, range(2), jobs=1, schedule="batch",
-                policy=SupervisorPolicy(retries=0, backoff=0.01,
-                                        degrade=False))
+                always_crashes, range(2), jobs=1,
+                policy=SupervisorPolicy(timeout=30.0, retries=0,
+                                        backoff=0.01, degrade=False))
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +303,7 @@ class TestBatchJournal:
         keys = [f"key-{i}" for i in range(40)]
         results = supervise_work_items(
             square, range(40), jobs=2, journal=journal, keys=keys,
-            schedule="batch", policy=SupervisorPolicy(backoff=0.01))
+            policy=SupervisorPolicy(backoff=0.01))
         assert results == [i * i for i in range(40)]
         assert journal.stats.entries_recorded == 40
         # Group commit: far fewer syncs than records, everything
@@ -288,9 +321,64 @@ class TestBatchJournal:
         worker = crashing_worker(crash_items={0, 2})
         stats = EngineStats()
         results = supervise_work_items(
-            worker, range(4), jobs=2, stats=stats, schedule="batch",
-            journal=journal, keys=[f"key-{i}" for i in range(4)],
+            worker, range(4), jobs=2, stats=stats, journal=journal,
+            keys=[f"key-{i}" for i in range(4)],
             policy=SupervisorPolicy(retries=0, backoff=0.01))
         assert results == [0, 1, 4, 9]
         assert stats.supervisor_resumed == 2
         assert stats.supervisor_retries == 0
+
+
+# ----------------------------------------------------------------------
+# worker lifecycle across a hard parent kill
+# ----------------------------------------------------------------------
+_KILLED_PARENT = textwrap.dedent("""
+    import os, sys
+    from pathlib import Path
+    from repro.engine.journal import RunJournal
+    from repro.engine.supervisor import FaultPlan, supervise_work_items
+
+    out = Path(sys.argv[1])
+
+    def record_pid(context, item):
+        (out / str(os.getpid())).touch()
+        return item
+
+    journal = RunJournal.create(out / "runs", run_id="orphans")
+    supervise_work_items(record_pid, range(6), jobs=2, journal=journal,
+                         keys=[str(i) for i in range(6)],
+                         plan=FaultPlan(die_after_checkpoints=2))
+""")
+
+
+def _gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:  # reparented to an init that does not reap: a zombie is gone
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rpartition(")")[2].split()[0] == "Z"
+
+
+@needs_fork
+def test_workers_exit_when_the_parent_is_killed(tmp_path):
+    # die-after hard-exits the parent mid-run (os._exit, like kill -9):
+    # no shutdown message is ever sent, and sibling workers hold each
+    # other's command pipes open, so only the parent-pid watch can end
+    # the orphaned workers.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    env.pop("REPRO_INJECT_FAULT", None)
+    done = subprocess.run([sys.executable, "-c", _KILLED_PARENT,
+                           str(tmp_path)], env=env, timeout=60)
+    assert done.returncode == 70
+    workers = [int(p.name) for p in tmp_path.iterdir()
+               if p.name.isdigit()]
+    assert workers, "no worker ran a task"
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline and not all(map(_gone, workers)):
+        time.sleep(0.1)
+    assert all(map(_gone, workers)), "orphaned workers outlived the parent"

@@ -4,8 +4,8 @@ Before the artifact plane, a platform without ``fork`` (or a forced
 ``REPRO_START_METHOD=spawn``) silently degraded every fan-out to the
 serial fallback — and any spawned worker would have recompiled every
 kernel from scratch.  These tests pin the new contract: with a
-:class:`PortableContext` the pool and the batch scheduler really run
-spawned workers, those workers *attach* the parent's published
+:class:`PortableContext` the batch scheduler really runs spawned
+workers, those workers *attach* the parent's published
 artifacts instead of compiling (the ``kernel.compile`` span never
 opens), and verdicts are byte-identical to fork and to ``--artifacts
 off`` in every combination.
@@ -20,12 +20,13 @@ import pytest
 
 import repro.engine.artifacts as ap
 from repro.checker.sweep import sweep_verify
+from repro.engine import EngineStats, SupervisorPolicy
 from repro.engine.pool import (
     START_METHOD_ENV,
     PortableContext,
-    run_work_items,
     start_method,
 )
+from repro.engine.supervisor import supervise_work_items
 from repro.obs import runtime as obs
 from repro.protocols import generalizable_matching
 from repro.serialization import global_report_to_dict
@@ -68,6 +69,7 @@ def test_spawn_workers_attach_instead_of_compiling(tmp_path, monkeypatch):
                               jobs=2)
     stats = result.stats
     assert stats.parallel, "spawn dispatch did not run"
+    assert stats.scheduler_batches > 0
     assert stats.pool_fallbacks == 0
     # Workers mapped the parent's artifacts: attaches happened, and not
     # one kernel.compile span opened anywhere in the run.
@@ -86,8 +88,17 @@ def test_batch_scheduler_runs_spawn_workers(tmp_path, monkeypatch):
     monkeypatch.setenv(START_METHOD_ENV, "spawn")
     with ap.plane(store), obs.run("spawn-batch") as run_ctx:
         result = sweep_verify(generalizable_matching(), up_to=UP_TO,
-                              jobs=2, schedule="batch")
+                              jobs=2, policy=SupervisorPolicy(
+                                  timeout=60.0, backoff=0.01))
     assert result.stats.scheduler_batches > 0
+    # Spawned workers ship their spans back like forked ones: every
+    # item subtree hangs under the dispatching scheduler.map span.
+    (dispatch,) = [span for _depth, span in run_ctx.spans[0].walk()
+                   if span.name == "scheduler.map"]
+    assert dispatch.attrs["method"] == "spawn"
+    assert sorted(c.name for c in dispatch.children
+                  if c.name.startswith("item[")) == [
+        f"item[{i}]" for i in range(UP_TO - 2)]
     assert result.stats.artifact_hits > 0
     assert run_ctx.metrics.value("kernel.compiles", default=0) == 0
     assert _verdict_bytes(result) == _verdict_bytes(reference)
@@ -138,16 +149,20 @@ def _build_context(payload):
 def test_pool_spawn_dispatch_with_portable(monkeypatch):
     monkeypatch.setenv(START_METHOD_ENV, "spawn")
     portable = PortableContext(_build_context, {"factor": 3})
-    results = run_work_items(_double, [1, 2, 3], jobs=2, context=None,
-                             portable=portable)
+    stats = EngineStats(jobs=2)
+    results = supervise_work_items(_double, [1, 2, 3], jobs=2,
+                                   context=None, stats=stats,
+                                   portable=portable)
     assert results == [6, 12, 18]
+    assert stats.scheduler_batches > 0 and stats.pool_fallbacks == 0
 
 
 @needs_spawn
 def test_pool_spawn_without_portable_falls_back_serially(monkeypatch):
     monkeypatch.setenv(START_METHOD_ENV, "spawn")
     with obs.run("fallback") as run_ctx:
-        results = run_work_items(_double, [1, 2, 3], jobs=2, context=4)
+        results = supervise_work_items(_double, [1, 2, 3], jobs=2,
+                                       context=4)
     assert results == [8, 16, 24]
     reasons = [e.get("reason") for e in run_ctx.events
                if e.get("kind") == "pool-fallback"]

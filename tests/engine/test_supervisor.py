@@ -101,16 +101,21 @@ class TestFaultPlan:
 
 
 # ----------------------------------------------------------------------
-# delegation and serial mode
+# routing and serial mode
 # ----------------------------------------------------------------------
 class TestDelegation:
-    def test_unsupervised_call_delegates_to_pool(self):
-        stats = EngineStats()
-        results = supervise_work_items(square, range(4), stats=stats)
+    @needs_fork
+    def test_unsupervised_parallel_call_uses_the_batch_scheduler(self):
+        # No policy, journal or fault plan: a jobs=2 fan-out still runs
+        # on the batch scheduler's workers (under the default policy).
+        stats = EngineStats(jobs=2)
+        results = supervise_work_items(square, range(4), jobs=2,
+                                       stats=stats)
         assert results == [0, 1, 4, 9]
-        # The plain pool records its serial fallback; the supervisor's
-        # counters stay untouched.
-        assert stats.pool_fallbacks == 1
+        assert stats.scheduler_batches > 0
+        assert stats.scheduler_batch_items == 4
+        assert stats.parallel
+        assert stats.pool_fallbacks == 0
         assert stats.supervisor_retries == 0
 
     def test_serial_supervised_run_still_journals(self, tmp_path):

@@ -81,3 +81,32 @@ def test_unknown_protocol_exit_code(capsys):
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "agreement-ss", "--up-to", "4", "--timeout", "0"],
+    ["sweep", "agreement-ss", "--up-to", "4", "--timeout", "-1"],
+    ["sweep", "agreement-ss", "--up-to", "4", "--timeout", "soon"],
+    ["sweep", "agreement-ss", "--up-to", "4", "--retries", "-1"],
+    ["sweep", "agreement-ss", "--up-to", "4", "--batch-size", "0"],
+    ["sweep", "agreement-ss", "--up-to", "4", "--jobs", "0"],
+    ["sweep", "agreement-ss", "--up-to", "4", "--jobs", "-3"],
+    ["sweep", "agreement-ss", "--up-to", "4", "--cache-limit", "-1"],
+    ["fuzz", "--samples", "-1"],
+    ["fuzz", "--samples", "0"],
+    ["check", "agreement-ss", "-K", "4", "--jobs", "0"],
+    ["verify", "agreement-ss", "--timeout", "0"],
+    ["synthesize", "agreement", "--batch-size", "-2"],
+    ["simulate", "agreement-ss", "-K", "4", "--samples", "0"],
+    ["cache", "--cache-limit", "-5"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_bad_numeric_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    flag = argv[-2]
+    (message,) = [line for line in err.splitlines()
+                  if line.startswith("repro ")]
+    assert f"error: argument {flag}" in message

@@ -1,9 +1,9 @@
-"""Observability across the fork pool, and its differential contract.
+"""Observability across the dispatch path, and its differential contract.
 
-Covers the issue's acceptance tests: a ``jobs=2`` run yields one
-deterministic re-parented span tree; every serial fallback carries a
-machine-readable reason; and verdicts are byte-identical with tracing
-on or off.
+Covers three contracts: a ``jobs=2`` run through the batch scheduler
+yields one re-parented span tree with the same item subtrees every
+time; every serial fallback carries a machine-readable reason; and
+verdicts are byte-identical with tracing on or off.
 """
 
 import dataclasses
@@ -14,7 +14,8 @@ import warnings
 import pytest
 
 from repro.engine import EngineStats
-from repro.engine.pool import parallelism_available, run_work_items
+from repro.engine.pool import parallelism_available
+from repro.engine.supervisor import supervise_work_items
 from repro.obs import runtime as obs
 from repro.checker.sweep import sweep_verify
 from repro.protocols import stabilizing_sum_not_two
@@ -29,16 +30,10 @@ def _no_leaked_run():
         pytest.fail("test leaked an active observability run")
 
 
-# Pool workers must be module-level (resolved by qualified name in the
-# forked children).
 def _square(_context, item):
     with obs.span("worker.square", item=item):
         obs.metric("worker.calls")
     return item * item
-
-
-def _unpicklable(_context, _item):
-    return lambda: None  # cannot cross the result pipe
 
 
 needs_fork = pytest.mark.skipif(not parallelism_available(),
@@ -52,19 +47,25 @@ needs_fork = pytest.mark.skipif(not parallelism_available(),
 def test_parallel_run_yields_one_deterministic_span_tree():
     stats = EngineStats(jobs=2)
     with obs.run("pool-test") as run_ctx:
-        results = run_work_items(_square, [2, 3, 4], jobs=2, stats=stats)
+        results = supervise_work_items(_square, [2, 3, 4], jobs=2,
+                                       stats=stats)
     assert results == [4, 9, 16]
     assert stats.parallel
     assert stats.pool_fallbacks == 0
+    assert stats.scheduler_batches > 0
 
-    pool_span = run_ctx.spans[0].children[0]
-    assert pool_span.name == "pool.map"
-    assert pool_span.attrs == {"jobs": 2, "items": 3, "method": "fork"}
-    # Adoption is by item index, so the tree is deterministic no matter
-    # which worker finished first.
-    assert [c.name for c in pool_span.children] == [
+    (dispatch,) = run_ctx.spans[0].children
+    assert dispatch.name == "scheduler.map"
+    assert dispatch.attrs == {"mode": "batch", "jobs": 2,
+                              "method": "fork", "items": 3,
+                              "timeout": None, "retries": 2}
+    # Adoption is by item index, so the item subtrees are the same no
+    # matter which worker finished first or how the items were batched.
+    items = [c for c in dispatch.children if c.name.startswith("item[")]
+    assert sorted(c.name for c in items) == [
         "item[0]", "item[1]", "item[2]"]
-    for index, wrapper in enumerate(pool_span.children):
+    for wrapper in items:
+        index = int(wrapper.name[len("item["):-1])
         assert "pid" in wrapper.attrs
         (child,) = wrapper.children
         assert child.name == "worker.square"
@@ -78,8 +79,8 @@ def test_parallel_run_yields_one_deterministic_span_tree():
 @needs_fork
 def test_parallel_run_without_active_run_still_returns_results():
     stats = EngineStats(jobs=2)
-    assert run_work_items(_square, [5, 6], jobs=2,
-                          stats=stats) == [25, 36]
+    assert supervise_work_items(_square, [5, 6], jobs=2,
+                                stats=stats) == [25, 36]
     assert stats.parallel
 
 
@@ -94,83 +95,26 @@ def test_expected_fallbacks_record_info_events(items, jobs, reason,
                                                level):
     stats = EngineStats(jobs=jobs)
     with obs.run("fallback-test") as run_ctx:
-        results = run_work_items(_square, items, jobs=jobs, stats=stats)
+        results = supervise_work_items(_square, items, jobs=jobs,
+                                       stats=stats)
     assert results == [i * i for i in items]
     assert not stats.parallel
     assert stats.pool_fallbacks == 1
+    assert stats.scheduler_batches == 0
     assert run_ctx.metrics.value("pool.fallbacks") == 1
     (event,) = [e for e in run_ctx.events
                 if e["kind"] == "pool-fallback"]
     assert event["reason"] == reason
     assert event["level"] == level
     serial_span = run_ctx.spans[0].children[0]
-    assert serial_span.name == "pool.serial"
+    assert serial_span.name == "supervisor.serial"
     assert serial_span.attrs == {"reason": reason, "items": len(items)}
-
-
-@needs_fork
-def test_pool_error_falls_back_with_warning_and_reason():
-    stats = EngineStats(jobs=2)
-    with obs.run("error-test") as run_ctx:
-        with pytest.warns(RuntimeWarning, match="recomputing"):
-            results = run_work_items(_unpicklable, [1, 2], jobs=2,
-                                     stats=stats)
-    assert len(results) == 2 and all(callable(r) for r in results)
-    assert stats.pool_fallbacks == 1
-    assert not stats.parallel
-    (event,) = [e for e in run_ctx.events
-                if e["kind"] == "pool-fallback"]
-    assert event["reason"].startswith("pool-error:")
-    assert event["level"] == "warning"
 
 
 def test_fallback_without_stats_or_run_is_quiet():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run_work_items(_square, [3], jobs=1) == [9]
-
-
-@needs_fork
-def test_fallback_warning_deduped_within_a_run():
-    """One RuntimeWarning per run+cause; counters and events intact."""
-    from repro.engine.pool import reset_fallback_warnings
-
-    stats = EngineStats(jobs=2)
-    with obs.run("dedup-test") as run_ctx:
-        with pytest.warns(RuntimeWarning, match="recomputing") as caught:
-            run_work_items(_unpicklable, [1, 2], jobs=2, stats=stats)
-            # Same cause, same run: the second fallback stays quiet ...
-            run_work_items(_unpicklable, [3, 4], jobs=2, stats=stats)
-    assert len(caught) == 1
-    # ... but the telemetry still sees both degradations.
-    assert stats.pool_fallbacks == 2
-    events = [e for e in run_ctx.events if e["kind"] == "pool-fallback"]
-    assert len(events) == 2
-    assert run_ctx.metrics.value("pool.fallbacks") == 2
-
-    # A fresh run is a fresh dedup scope: the user at the next command
-    # still gets told.
-    with obs.run("dedup-test-2"):
-        with pytest.warns(RuntimeWarning, match="recomputing"):
-            run_work_items(_unpicklable, [5, 6], jobs=2,
-                           stats=EngineStats(jobs=2))
-
-    # And without any run, reset_fallback_warnings() (called at every
-    # CLI dispatch) reopens the gate.
-    try:
-        with pytest.warns(RuntimeWarning, match="recomputing"):
-            run_work_items(_unpicklable, [7, 8], jobs=2,
-                           stats=EngineStats(jobs=2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # deduped: stays quiet
-            run_work_items(_unpicklable, [7, 8], jobs=2,
-                           stats=EngineStats(jobs=2))
-        reset_fallback_warnings()
-        with pytest.warns(RuntimeWarning, match="recomputing"):
-            run_work_items(_unpicklable, [7, 8], jobs=2,
-                           stats=EngineStats(jobs=2))
-    finally:
-        reset_fallback_warnings()
+        assert supervise_work_items(_square, [3], jobs=1) == [9]
 
 
 # ----------------------------------------------------------------------
