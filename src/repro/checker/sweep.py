@@ -7,11 +7,12 @@ than or equal to the cutoff"; this module implements that baseline —
 verify ``p(K)`` for each ``K`` in a range — so the comparison can be
 made concretely (benchmark X2 and the ablation benches use it).
 
-Each ``p(K)`` is an independent work item, so the sweep fans out over
-:func:`repro.engine.supervise_work_items` when ``jobs > 1`` and reuses prior
-per-K reports through a :class:`repro.engine.ResultCache`; verdicts are
-identical to the serial, uncached run by construction (deterministic
-result ordering, whole-report caching).
+Each ``p(K)`` is an independent work item of
+:func:`repro.engine.supervise_work_items`, which reuses prior per-K
+results through a :class:`repro.engine.ResultCache` and fans the rest
+out when ``jobs > 1``; verdicts are identical to the serial, uncached
+run by construction (deterministic result ordering, whole-result
+caching).
 
 No general cutoff theorem applies to arbitrary convergence properties,
 so a sweep result is evidence for the checked range only; contrast with
@@ -31,8 +32,12 @@ from repro.engine import EngineStats, ResultCache, analysis_key, \
     supervise_work_items
 from repro.engine.journal import RunJournal
 from repro.engine.pool import PortableContext
-from repro.engine.supervisor import FaultPlan, SupervisorPolicy
-from repro.obs import live
+from repro.engine.supervisor import (
+    CACHED,
+    COMPUTED,
+    FaultPlan,
+    SupervisorPolicy,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocol.ring import RingProtocol
@@ -85,19 +90,12 @@ def _sweep_key(protocol: "RingProtocol", size: int,
     # Backend choice never perturbs the report (the kernel reproduces
     # the naive graph state for state) so it stays out of the key;
     # the quotient changes state/witness counts and gets its own keys.
+    # The entry is the worker's ``(report, elapsed)`` pair, hence the
+    # kind: the bare reports stored under "check-instance" never alias.
     if symmetry:
-        return analysis_key("check-instance", protocol, ring_size=size,
+        return analysis_key("checked-size", protocol, ring_size=size,
                             symmetry=True)
-    return analysis_key("check-instance", protocol, ring_size=size)
-
-
-def _check_size(protocol: "RingProtocol", size: int,
-                backend: str = "auto",
-                symmetry: bool = False) -> tuple[GlobalReport, float]:
-    began = time.perf_counter()
-    report = check_instance(protocol.instantiate(size),
-                            backend=backend, symmetry=symmetry)
-    return report, time.perf_counter() - began
+    return analysis_key("checked-size", protocol, ring_size=size)
 
 
 def sweep_fingerprint(protocol: "RingProtocol", up_to: int,
@@ -108,6 +106,61 @@ def sweep_fingerprint(protocol: "RingProtocol", up_to: int,
     first = protocol.process.window_width if start is None else start
     return analysis_key("sweep", protocol, start=first, up_to=up_to,
                         symmetry=symmetry)
+
+
+def _checked_sizes(protocol: "RingProtocol", sizes: list[int], check,
+                   stats: EngineStats, backend: str, symmetry: bool,
+                   cache: ResultCache | None, journal: RunJournal | None,
+                   **supervision) -> list[tuple[GlobalReport, float]]:
+    """Check *sizes* through :func:`supervise_work_items` and fold the
+    per-size work this run did into *stats*."""
+
+    def prewarm() -> None:
+        # Artifact traffic inside the per-K checks is attributed to the
+        # per-report stats (folded below); only the parent-side prewarm
+        # publishes are counted here, so nothing is counted twice.
+        with artifact_plane.absorb_into(stats):
+            _sweep_prewarm(protocol, backend)
+
+    keys = ([_sweep_key(protocol, size, symmetry) for size in sizes]
+            if cache is not None or journal is not None else None)
+    outcomes = supervise_work_items(
+        _sweep_worker, sizes, context=(protocol, check, backend, symmetry),
+        stats=stats, cache=cache, journal=journal, keys=keys,
+        fallback_worker=_sweep_fallback_worker, prewarm=prewarm,
+        portable=_sweep_portable(protocol, backend, symmetry),
+        **supervision)
+    for (report, _elapsed), origin in zip(outcomes, outcomes.origins):
+        if origin == COMPUTED:
+            stats.work_items += 1
+            stats.states_explored += report.state_count
+        if origin != CACHED:
+            # A journaled report carries the partial stats of the run
+            # that computed it; fold those into this run's counters.
+            stats.merge_kernel_counters(getattr(report, "stats", None))
+    return outcomes
+
+
+def check_size(protocol: "RingProtocol", size: int,
+               check=check_instance,
+               backend: str = "auto",
+               symmetry: bool = False,
+               cache: ResultCache | None = None,
+               policy: SupervisorPolicy | None = None,
+               batch_size: int | None = None,
+               ) -> tuple[GlobalReport, EngineStats]:
+    """Model-check ``p(size)`` as a one-size sweep, through the same
+    work item and cache entry as :func:`sweep_verify`.  *check* is the
+    instance checker the item calls; ``repro check`` passes the one it
+    imported, so instrumentation wrapping that name (the benchmark's
+    tracer) sees the call.  Returns the report and this run's
+    :class:`EngineStats` (a cache hit counts as one, never as the stats
+    of the run that computed the report)."""
+    stats = EngineStats()
+    [(report, _elapsed)] = _checked_sizes(
+        protocol, [size], check, stats, backend, symmetry, cache, None,
+        policy=policy, batch_size=batch_size)
+    return report, stats
 
 
 def sweep_verify(protocol: "RingProtocol", up_to: int,
@@ -124,147 +177,44 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
     """Model-check every ring size from *start* (default: the read-window
     width) through *up_to*.
 
-    With ``stop_on_failure`` the sweep aborts at the first
-    non-stabilizing size — the typical bug-hunting mode.  ``jobs > 1``
-    fans the per-K checks out over worker processes (a parallel
-    ``stop_on_failure`` sweep still checks every size speculatively and
-    truncates afterwards, so its result equals the serial one); *cache*
-    reuses per-K reports across runs, keyed on the protocol fingerprint
-    and the ring size.  *backend* and *symmetry* are forwarded to
+    Each size is one work item of
+    :func:`repro.engine.supervise_work_items`: answered from *cache*
+    (per-K entries keyed on the protocol fingerprint and the ring
+    size), else from *journal* (a prior run's finished sizes, whose
+    partial :class:`EngineStats` merge into this run's counters), else
+    checked — in worker processes when ``jobs > 1`` — and checkpointed.
+    With ``stop_on_failure`` the sweep ends at the first
+    non-stabilizing size — the typical bug-hunting mode; a serial sweep
+    checks no later size, a forking one checks every size speculatively
+    and truncates afterwards, so the results are equal.  *backend* and
+    *symmetry* are forwarded to
     :func:`repro.checker.convergence.check_instance` — the compiled
     kernel (and, opt-in, its rotation quotient) replaces the naive
     per-state interpretation with identical verdicts.
 
     *policy* supervises the per-K checks (timeouts, crash retry,
     degradation to the in-parent naive backend — see
-    :mod:`repro.engine.supervisor`); *journal* checkpoints each
-    completed size durably and skips sizes a prior run already
-    finished, merging their reports' partial :class:`EngineStats` into
-    this run's counters.  A supervised or journaled ``stop_on_failure``
-    sweep checks speculatively like the parallel one.  *fault_plan* is
-    test-only injection.  *batch_size* pins the batch scheduler's batch
-    size (see :func:`repro.engine.supervise_work_items`).
+    :mod:`repro.engine.supervisor`).  *fault_plan* is test-only
+    injection.  *batch_size* pins the batch scheduler's batch size.
     """
     first = protocol.process.window_width if start is None else start
     if first > up_to:
         raise ValueError(f"empty sweep range {first}..{up_to}")
-    sizes = list(range(first, up_to + 1))
     stats = EngineStats(jobs=jobs)
-    supervised = (policy is not None or journal is not None
-                  or fault_plan is not None)
-
-    if jobs <= 1 and not supervised:
-        # Serial: check sizes in order so stop_on_failure exits early.
-        kept_reports: list[GlobalReport] = []
-        kept_timings: list[float] = []
-        live.begin_stage("sweep", total=len(sizes))
-        with stats.stage("sweep", start=first, up_to=up_to, jobs=jobs):
-            for size in sizes:
-                report, elapsed = _checked_size(protocol, size, cache,
-                                                stats, backend, symmetry)
-                kept_reports.append(report)
-                kept_timings.append(elapsed)
-                live.note(done=1)
-                live.tick(lambda: live.cache_payload(stats))
-                if stop_on_failure and not report.self_stabilizing:
-                    break
-        return SweepResult(reports=tuple(kept_reports),
-                           elapsed_seconds=tuple(kept_timings),
-                           stats=stats)
-
-    # Parallel / supervised: probe the cache and journal up front, fan
-    # the misses out, truncate afterwards (speculative checking keeps
-    # the result equal to serial).
-    reports: dict[int, GlobalReport] = {}
-    timings: dict[int, float] = {}
-
-    def prewarm() -> None:
-        # Artifact traffic inside the per-K checks is attributed to the
-        # per-report stats (folded in check_instance, merged below);
-        # only the parent-side prewarm publishes are counted here, so
-        # nothing is counted twice.
-        with artifact_plane.absorb_into(stats):
-            _sweep_prewarm(protocol, backend)
-
     with stats.stage("sweep", start=first, up_to=up_to, jobs=jobs):
-        pending = []
-        for size in sizes:
-            if cache is not None:
-                probe_began = time.perf_counter()
-                cached = cache.get(_sweep_key(protocol, size, symmetry))
-                if cached is not None:
-                    stats.cache_hits += 1
-                    reports[size] = cached
-                    timings[size] = time.perf_counter() - probe_began
-                    continue
-                stats.cache_misses += 1
-            if journal is not None:
-                key = _sweep_key(protocol, size, symmetry)
-                if key in journal.completed:
-                    # A prior run finished this size: reuse its report
-                    # and fold its partial stats into this run's.
-                    report, elapsed = journal.completed[key]
-                    stats.supervisor_resumed += 1
-                    stats.merge_kernel_counters(
-                        getattr(report, "stats", None))
-                    reports[size] = report
-                    timings[size] = elapsed
-                    continue
-            pending.append(size)
-
-        if supervised or len(pending) > 1:
-            keys = [_sweep_key(protocol, size, symmetry)
-                    for size in pending] if journal is not None else None
-            outcomes = supervise_work_items(
-                _sweep_worker, pending, jobs=jobs,
-                context=(protocol, backend, symmetry),
-                stats=stats, policy=policy, journal=journal,
-                keys=keys, fallback_worker=_sweep_fallback_worker,
-                plan=fault_plan, batch_size=batch_size, prewarm=prewarm,
-                portable=_sweep_portable(protocol, backend, symmetry))
-        else:
-            outcomes = [_check_size(protocol, size, backend, symmetry)
-                        for size in pending]
-        for size, (report, elapsed) in zip(pending, outcomes):
-            stats.work_items += 1
-            stats.states_explored += report.state_count
-            stats.merge_kernel_counters(getattr(report, "stats", None))
-            reports[size] = report
-            timings[size] = elapsed
-            if cache is not None:
-                cache.put(_sweep_key(protocol, size, symmetry), report)
-
-    kept_reports = []
-    kept_timings = []
-    for size in sizes:
-        kept_reports.append(reports[size])
-        kept_timings.append(timings[size])
-        if stop_on_failure and not reports[size].self_stabilizing:
-            break
-    return SweepResult(reports=tuple(kept_reports),
-                       elapsed_seconds=tuple(kept_timings),
-                       stats=stats)
+        outcomes = _checked_sizes(
+            protocol, list(range(first, up_to + 1)), check_instance,
+            stats, backend, symmetry, cache, journal, jobs=jobs,
+            policy=policy, plan=fault_plan, batch_size=batch_size,
+            stop=_fails if stop_on_failure else None)
+    return SweepResult(
+        reports=tuple(report for report, _elapsed in outcomes),
+        elapsed_seconds=tuple(elapsed for _report, elapsed in outcomes),
+        stats=stats)
 
 
-def _checked_size(protocol: "RingProtocol", size: int,
-                  cache: ResultCache | None, stats: EngineStats,
-                  backend: str = "auto",
-                  symmetry: bool = False) -> tuple[GlobalReport, float]:
-    """One serial work item: cache probe, compute on miss, store."""
-    if cache is not None:
-        probe_began = time.perf_counter()
-        cached = cache.get(_sweep_key(protocol, size, symmetry))
-        if cached is not None:
-            stats.cache_hits += 1
-            return cached, time.perf_counter() - probe_began
-        stats.cache_misses += 1
-    report, elapsed = _check_size(protocol, size, backend, symmetry)
-    stats.work_items += 1
-    stats.states_explored += report.state_count
-    stats.merge_kernel_counters(getattr(report, "stats", None))
-    if cache is not None:
-        cache.put(_sweep_key(protocol, size, symmetry), report)
-    return report, elapsed
+def _fails(outcome: tuple[GlobalReport, float]) -> bool:
+    return not outcome[0].self_stabilizing
 
 
 def _sweep_prewarm(protocol: "RingProtocol", backend: str) -> None:
@@ -293,7 +243,7 @@ def _rebuild_sweep_context(payload) -> tuple:
     from repro.serialization import protocol_from_dict
 
     data, backend, symmetry = payload
-    return (protocol_from_dict(data), backend, symmetry)
+    return (protocol_from_dict(data), check_instance, backend, symmetry)
 
 
 def _sweep_portable(protocol: "RingProtocol", backend: str,
@@ -316,9 +266,13 @@ def _sweep_portable(protocol: "RingProtocol", backend: str,
 
 
 def _sweep_worker(context, size: int) -> tuple[GlobalReport, float]:
-    """Module-level worker for :func:`repro.engine.supervise_work_items`."""
-    protocol, backend, symmetry = context
-    return _check_size(protocol, size, backend, symmetry)
+    """Module-level worker for :func:`repro.engine.supervise_work_items`:
+    the report for ``p(size)`` and the seconds it took."""
+    protocol, check, backend, symmetry = context
+    began = time.perf_counter()
+    report = check(protocol.instantiate(size), backend=backend,
+                   symmetry=symmetry)
+    return report, time.perf_counter() - began
 
 
 def _sweep_fallback_worker(context, size: int,
@@ -327,6 +281,7 @@ def _sweep_fallback_worker(context, size: int,
     backend (reports are backend-identical, so the sweep result does
     not change).  The rotation quotient exists only in the kernel, so
     ``symmetry`` runs keep their requested backend."""
-    protocol, backend, symmetry = context
-    return _check_size(protocol, size,
-                       backend if symmetry else "naive", symmetry)
+    protocol, check, backend, symmetry = context
+    return _sweep_worker(
+        (protocol, check, backend if symmetry else "naive", symmetry),
+        size)

@@ -562,45 +562,21 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from repro.checker.sweep import check_size
+
     protocol = _resolve_protocol(args.protocol)
     cache = _engine_cache(args)
-    report = None
-    if cache is not None:
-        from repro.checker.sweep import _sweep_key
-
-        key = _sweep_key(protocol, args.ring_size,
-                         symmetry=args.symmetry)
-        report = cache.get(key)
-    if report is None:
-        policy = _supervisor_policy(args)
-        if policy is not None:
-            # One supervised work item: the check gets the same
-            # timeout/retry/degradation ladder as a sweep of one size.
-            from repro.checker.sweep import (
-                _sweep_fallback_worker,
-                _sweep_worker,
-            )
-            from repro.engine import supervise_work_items
-
-            [(report, _elapsed)] = supervise_work_items(
-                _sweep_worker, [args.ring_size], jobs=1,
-                context=(protocol, args.backend, args.symmetry),
-                policy=policy,
-                fallback_worker=_sweep_fallback_worker,
-                batch_size=args.batch_size)
-        else:
-            report = check_instance(
-                protocol.instantiate(args.ring_size),
-                backend=args.backend, symmetry=args.symmetry)
-        if cache is not None:
-            cache.put(key, report)
+    report, stats = check_size(
+        protocol, args.ring_size, check=check_instance,
+        backend=args.backend, symmetry=args.symmetry, cache=cache,
+        policy=_supervisor_policy(args), batch_size=args.batch_size)
     from repro.engine.fingerprint import protocol_fingerprint
 
     _note_ledger(args, protocol=protocol.name,
                  fingerprint=protocol_fingerprint(protocol),
                  verdict={"self_stabilizing": report.self_stabilizing,
                           "ring_size": args.ring_size},
-                 stats=getattr(report, "stats", None))
+                 stats=stats)
     if args.json:
         from repro.serialization import global_report_to_dict
 
@@ -608,7 +584,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0 if report.self_stabilizing else 1
     print(f"== global model checking of {protocol.name} ==")
     print(report.summary())
-    _print_stats(getattr(report, "stats", None), cache)
+    _print_stats(stats, cache)
     return 0 if report.self_stabilizing else 1
 
 

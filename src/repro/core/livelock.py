@@ -76,10 +76,16 @@ class LivelockReport:
                 and not self.contiguous_only)
 
 
-def _find_trail_worker(searcher: ContiguousTrailSearcher,
-                       support) -> TrailWitness | None:
-    """Module-level worker for :func:`repro.engine.supervise_work_items`."""
-    return searcher.find_trail(support)
+def _find_trail_worker(searcher: ContiguousTrailSearcher, support):
+    """Module-level worker for :func:`repro.engine.supervise_work_items`:
+    the witness (or ``None``) with the local-kernel counters the search
+    moved (``None`` on the naive backend), so a forked worker's
+    counters reach the parent."""
+    before = searcher.kernel_stats()
+    witness = searcher.find_trail(support)
+    if before is None:
+        return witness, None
+    return witness, searcher.kernel_stats().delta_since(before)
 
 
 #: Context searcher -> its naive twin: a run that degrades many
@@ -87,8 +93,7 @@ def _find_trail_worker(searcher: ContiguousTrailSearcher,
 _FALLBACK_SEARCHERS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _find_trail_fallback(searcher: ContiguousTrailSearcher,
-                         support) -> TrailWitness | None:
+def _find_trail_fallback(searcher: ContiguousTrailSearcher, support):
     """A degraded trail search: in-parent, on the reference naive
     Digraph searcher (verdict-identical to the kernel by the
     differential suite)."""
@@ -98,15 +103,17 @@ def _find_trail_fallback(searcher: ContiguousTrailSearcher,
             searcher.protocol, max_ring_size=searcher.max_ring_size,
             backend="naive")
         _FALLBACK_SEARCHERS[searcher] = fallback
-    return fallback.find_trail(support)
+    return _find_trail_worker(fallback, support)
 
 
 class LivelockCertifier:
     """Runs the Theorem 5.14 sufficient condition on a protocol.
 
     Each candidate t-arc support is an independent contiguous-trail
-    search, so ``jobs > 1`` fans the supports out over worker processes
-    (witnesses keep the serial support order); *cache* reuses whole
+    search — one work item of :func:`repro.engine.supervise_work_items`
+    — so ``jobs > 1`` fans the supports out over worker processes
+    (witnesses keep the serial support order, and each worker returns
+    its local-kernel counters with its witness).  *cache* reuses whole
     reports across runs, keyed on the protocol fingerprint and the
     analysis parameters.
     """
@@ -200,23 +207,20 @@ class LivelockCertifier:
             backend=self.backend)
         with stats.stage("trail-search", supports=len(supports),
                          backend=self.backend):
-            if (self.jobs > 1 and len(supports) > 1) \
-                    or self.policy is not None:
-                # No separate prewarm hook: constructing the searcher
-                # above already compiled the local kernel in-parent, so
-                # forked workers inherit it hot either way.
-                found = supervise_work_items(
-                    _find_trail_worker, supports, jobs=self.jobs,
-                    context=searcher, stats=stats, policy=self.policy,
-                    fallback_worker=_find_trail_fallback,
-                    batch_size=self.batch_size)
-            else:
-                found = [searcher.find_trail(s) for s in supports]
+            # No prewarm hook: constructing the searcher above already
+            # compiled the local kernel in-parent, so forked workers
+            # inherit it hot.
+            found = supervise_work_items(
+                _find_trail_worker, supports, jobs=self.jobs,
+                context=searcher, stats=stats, policy=self.policy,
+                fallback_worker=_find_trail_fallback,
+                batch_size=self.batch_size)
         stats.work_items += len(supports)
-        # The workers' kernel counters stay in the forked children, so
-        # parallel runs under-count here.
-        stats.absorb_localkernel(searcher.kernel_stats())
-        witnesses = [w for w in found if w is not None]
+        witnesses = []
+        for witness, delta in found:
+            stats.absorb_localkernel(delta)
+            if witness is not None:
+                witnesses.append(witness)
 
         verdict = (LivelockVerdict.CERTIFIED_FREE if not witnesses
                    else LivelockVerdict.UNKNOWN)

@@ -42,7 +42,7 @@ from repro.core.selfdisabling import (
 from repro.engine import EngineStats, ResultCache, analysis_key, \
     supervise_work_items
 from repro.engine.journal import RunJournal
-from repro.engine.supervisor import SupervisorPolicy
+from repro.engine.supervisor import COMPUTED, SupervisorPolicy
 from repro.errors import SynthesisFailure
 from repro.graphs import has_cycle
 from repro.graphs.fvs import FvsStats
@@ -140,11 +140,12 @@ class Synthesizer:
     suite pins this).
 
     Combination verdicts are additionally memoized on the combination's
-    transition set — permuted enumerations never re-search — and, with
-    *cache*, persisted across runs keyed on the protocol fingerprint.
-    ``jobs > 1`` fans un-memoized combinations out over worker
-    processes in deterministic batches, so results and the
-    :class:`RejectedCombination` log are identical for every jobs
+    transition set — permuted enumerations never re-search.  The rest
+    are work items of :func:`repro.engine.supervise_work_items` (one
+    per combination on the flat search, one per subtree unit on the
+    lattice), so *cache* and *journal* answer them across runs and
+    ``jobs > 1`` fans them out in deterministic batches; results and
+    the :class:`RejectedCombination` log are identical for every jobs
     value.
     """
 
@@ -406,10 +407,10 @@ class Synthesizer:
     # ------------------------------------------------------------------
     def _verdicts(self, combos: list[tuple[LocalTransition, ...]],
                   ) -> list[str | None]:
-        """Verdicts for *combos*, in order, through the memo / cache /
-        pool layers.  The memo key is the combination's transition
-        *set*, so permuted enumerations of the same t-arcs are answered
-        without another search."""
+        """Verdicts for *combos*, in order: the memo first — keyed on
+        the combination's transition *set*, so permuted enumerations of
+        the same t-arcs are answered without another search — then the
+        search strategy's work-item pipeline."""
         reasons: dict[int, str | None] = {}
         pending: list[int] = []
         for position, combo in enumerate(combos):
@@ -417,62 +418,41 @@ class Synthesizer:
             if key in self._verdict_memo:
                 self.stats.verdict_cache_hits += 1
                 reasons[position] = self._verdict_memo[key]
-                continue
-            if self.cache is not None:
-                hit = self.cache.get(self._verdict_key(combo))
-                if hit is not None:
-                    self.stats.cache_hits += 1
-                    self._verdict_memo[key] = hit[0]
-                    reasons[position] = hit[0]
-                    continue
-                self.stats.cache_misses += 1
-            if self.journal is not None:
-                journal_key = self._verdict_key(combo)
-                if journal_key in self.journal.completed:
-                    # A prior (interrupted) run already judged this
-                    # combination: answer from the journal.
-                    reason = self.journal.completed[journal_key]
-                    self.stats.supervisor_resumed += 1
-                    self._verdict_memo[key] = reason
-                    reasons[position] = reason
-                    continue
-            pending.append(position)
-        if pending:
-            supervised = (self.policy is not None
-                          or self.journal is not None
-                          or self.fault_plan is not None)
-            if self.search == "lattice":
-                computed = self._lattice_verdicts(
-                    [combos[i] for i in pending])
-            elif supervised or (self.jobs > 1 and len(pending) > 1):
-                keys = ([self._verdict_key(combos[i]) for i in pending]
-                        if self.journal is not None else None)
-                # No prewarm hook: __init__ already compiled the local
-                # kernel in-parent, so workers fork with it hot.
-                computed = supervise_work_items(
-                    _combo_verdict_worker,
-                    [combos[i] for i in pending],
-                    jobs=self.jobs, context=self,
-                    stats=self.stats, policy=self.policy,
-                    journal=self.journal, keys=keys,
-                    fallback_worker=_combo_verdict_worker,
-                    plan=self.fault_plan, batch_size=self.batch_size)
             else:
-                computed = [self._evaluate_verdict(combos[i])
-                            for i in pending]
-            self.stats.work_items += len(pending)
+                pending.append(position)
+        if pending:
+            todo = [combos[i] for i in pending]
+            if self.search == "lattice":
+                computed = self._lattice_verdicts(todo)
+            else:
+                computed = self._flat_verdicts(todo)
             for position, reason in zip(pending, computed):
                 self._verdict_memo[frozenset(combos[position])] = reason
-                if self.cache is not None:
-                    self.cache.put(self._verdict_key(combos[position]),
-                                   (reason,))
                 reasons[position] = reason
         return [reasons[i] for i in range(len(combos))]
 
+    def _flat_verdicts(self, combos: list[tuple[LocalTransition, ...]],
+                       ) -> list[str | None]:
+        """Judge every combination from scratch, one work item each."""
+        keys = ([self._verdict_key(combo) for combo in combos]
+                if self.cache is not None or self.journal is not None
+                else None)
+        # No prewarm hook: __init__ already compiled the local kernel
+        # in-parent, so workers fork with it hot.
+        computed = supervise_work_items(
+            _combo_verdict_worker, combos, jobs=self.jobs, context=self,
+            stats=self.stats, policy=self.policy, journal=self.journal,
+            cache=self.cache, keys=keys,
+            fallback_worker=_combo_verdict_worker,
+            plan=self.fault_plan, batch_size=self.batch_size)
+        self.stats.work_items += computed.origins.count(COMPUTED)
+        return computed
+
     def _verdict_key(self, combo) -> str:
-        # Backend- and search-independent on purpose: every strategy
-        # produces the same verdict strings, so cached entries are
-        # shared.  The combination is keyed on its canonical t-arc
+        # Backend-independent on purpose: both backends produce the
+        # same verdict strings.  The entry is the bare reason, hence a
+        # kind the old "synthesis-verdict" ``(reason,)`` entries never
+        # alias.  The combination is keyed on its canonical t-arc
         # bitmask over local-state indices — distinct combinations
         # whose ``str()`` renderings collide (labels truncate string
         # cell values to their first character) must not share a key.
@@ -483,7 +463,7 @@ class Synthesizer:
             mask |= 1 << (space.index(transition.source) * n
                           + space.index(transition.target))
         return analysis_key(
-            "synthesis-verdict", self.protocol,
+            "synthesis-reason", self.protocol,
             max_ring_size=self.max_ring_size,
             accept_contiguous_only=self.accept_contiguous_only,
             combo=f"{mask:x}")

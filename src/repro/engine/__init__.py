@@ -7,10 +7,12 @@ contiguous-trail searches and per-protocol fuzzing audits are all
 embarrassingly parallel, and repeated CLI/benchmark invocations redo
 identical work.  This package supplies the missing pieces:
 
-* :func:`supervise_work_items` — the one fan-out entry point: results
-  in item order, run either in the parent's serial loop (``jobs=1``, a
-  single item, no ``fork``) or on the batch scheduler's persistent
-  supervised workers (see below);
+* :func:`supervise_work_items` — the one work-item pipeline: each item
+  is answered from the result cache, else replayed from the run
+  journal, else run — in the parent's serial loop (``jobs=1``, a single
+  item, no ``fork``) or on the batch scheduler's persistent supervised
+  workers (see below) — then checkpointed and stored; results come back
+  in item order with their origins;
 * :class:`ResultCache` — a content-addressed result cache keyed on a
   canonical protocol fingerprint plus analysis parameters, with an
   in-memory layer and an optional on-disk layer under ``.repro-cache/``;

@@ -1,13 +1,21 @@
-"""Fault-tolerant supervision of engine work items — the one dispatch path.
+"""Fault-tolerant supervision of engine work items — the one pipeline.
 
-Every engine fan-out (per-K sweep instances, per-support trail searches,
-per-protocol fuzzing audits, per-combination synthesis verdicts) goes
-through :func:`supervise_work_items`.  It runs a batch in exactly one of
-two ways:
+Every engine fan-out (per-K sweep and ``repro check`` instances,
+per-support trail searches, per-protocol fuzzing audits, synthesis
+verdicts) goes through :func:`supervise_work_items`, and every item
+takes the same path: answered from the result **cache**, else replayed
+from the run **journal** (``repro sweep --resume``), else **run** —
+then **checkpointed** to the journal and **stored** in the cache.
+Results come back in item order as :class:`WorkResults`, whose
+``origins`` say where each came from (:data:`COMPUTED`, :data:`CACHED`,
+:data:`JOURNALED`), so callers fold counters only for the work this run
+did.  The items still to run go one of two ways:
 
 * the **serial loop** — in-parent, in item order, when nothing needs a
   child process: ``jobs <= 1``, a single pending item, or a platform
-  without a usable start method;
+  without a usable start method; at ``jobs <= 1`` it probes item by
+  item and an optional stop predicate ends it early
+  (``sweep --stop-on-failure``);
 * the **batch scheduler** (:class:`repro.engine.scheduler.BatchScheduler`)
   — persistent supervised workers pulling adaptively sized batches,
   whenever the call would fork: ``jobs > 1`` with more than one pending
@@ -28,18 +36,15 @@ the scheduler supervises at *task* granularity under a
   once more *in the parent process* through the caller's fallback
   worker (the serial naive backend at the engine call sites) instead of
   aborting the run;
-* **checkpointing** — with a :class:`repro.engine.journal.RunJournal`,
-  every completed item is durably appended, and items already in the
-  journal are returned without re-execution (``repro sweep --resume``);
 * **observability** — ``task-timeout`` / ``task-retry`` /
-  ``task-degraded`` / ``task-resumed`` events, ``supervisor.*``
-  counters, and per-item span adoption; every serial-loop run records
-  its reason (``jobs<=1``, ``single-item``, ``no-fork``) as a
-  ``pool-fallback`` event and a ``pool.fallbacks`` count.
+  ``task-degraded`` / ``task-resumed`` events, ``supervisor.*`` and
+  ``engine.cache_*`` counters, and per-item span adoption.  The serial
+  loop's ``supervisor.serial`` span carries its reason (``jobs<=1``,
+  ``single-item``, ``no-fork``); only ``no-fork`` counts as a fallback
+  (a ``pool-fallback`` warning and a ``pool.fallbacks`` count).
 
-Both ways share one :class:`TaskLedger` — the resume/checkpoint/retry/
-degrade bookkeeping — so verdicts are identical by construction; the
-property-based differential harness checks it anyway.
+Both ways share one :class:`TaskLedger`, so verdicts are identical by
+construction; the property-based differential harness checks it anyway.
 
 Workers are forked and inherit worker, context and items, so all three
 may hold unpicklable objects; only results cross the pipe.  A worker
@@ -73,6 +78,12 @@ from repro.obs import runtime as obs
 
 #: Environment variable read by :meth:`FaultPlan.from_env`.
 FAULT_ENV = "REPRO_INJECT_FAULT"
+
+#: Where a work item's result came from (:attr:`WorkResults.origins`).
+COMPUTED, CACHED, JOURNALED = "computed", "cache", "journal"
+
+#: Cache-miss sentinel, so a cached ``None`` result reads as a hit.
+_MISS = object()
 
 
 class SupervisorError(Exception):
@@ -196,6 +207,17 @@ class _Task:
     ready_at: float = 0.0
 
 
+class WorkResults(list):
+    """The results of one :func:`supervise_work_items` call, in item
+    order, plus ``origins``: for each result, whether it was
+    :data:`COMPUTED` by this run, read from the :data:`CACHED` result
+    cache, or replayed from the :data:`JOURNALED` run journal."""
+
+    def __init__(self, results: list[Any], origins: list[str]) -> None:
+        super().__init__(results)
+        self.origins = origins
+
+
 def _bump(stats: Any, attribute: str, metric: str,
           amount: float = 1) -> None:
     obs.metric(metric, amount)
@@ -204,54 +226,80 @@ def _bump(stats: Any, attribute: str, metric: str,
 
 
 class TaskLedger:
-    """The supervision bookkeeping the serial loop and the batch
+    """The work-item bookkeeping the serial loop and the batch
     scheduler share.
 
-    Resume-from-journal, completion checkpointing, the retry/degrade
-    ladder, deterministic-failure latching and result ordering all live
-    here; :meth:`run_serial` and
-    :class:`repro.engine.scheduler.BatchScheduler` are pure execution
-    strategies over one ledger — which is what makes their verdicts
-    identical by construction.
+    Cache probe, journal resume, completion checkpointing and cache
+    store, the retry/degrade ladder, deterministic-failure latching,
+    per-item origins and result ordering all live here;
+    :meth:`run_serial` and :class:`repro.engine.scheduler.BatchScheduler`
+    are pure execution strategies over one ledger — which is what makes
+    their verdicts identical by construction.
     """
 
     def __init__(self, worker, work: Sequence[Any], context: Any,
                  stats: Any, policy: SupervisorPolicy, journal,
                  keys: Sequence[str] | None, fallback_worker,
-                 plan: FaultPlan | None) -> None:
+                 plan: FaultPlan | None, cache=None,
+                 stop: Callable[[Any], bool] | None = None) -> None:
         self.worker = worker
         self.work = work
         self.context = context
         self.stats = stats
         self.policy = policy
         self.journal = journal
+        self.cache = cache
         self.keys = keys
         self.fallback_worker = fallback_worker or worker
         self.plan = plan
+        self.stop = stop
         self.results: dict[int, Any] = {}
+        self.origins: dict[int, str] = {}
         self.failure: WorkerFailure | None = None
 
     def key(self, index: int) -> str | None:
         return self.keys[index] if self.keys is not None else None
 
+    def answer(self, index: int) -> bool:
+        """Answer item *index* from the cache, else from the journal;
+        ``False`` when it still has to run."""
+        key = self.key(index)
+        if key is None:
+            return False
+        if self.cache is not None:
+            value = self.cache.get(key, _MISS)
+            if value is not _MISS:
+                _bump(self.stats, "cache_hits", "engine.cache_hits")
+                self._settle(index, value, CACHED)
+                return True
+            _bump(self.stats, "cache_misses", "engine.cache_misses")
+        if self.journal is not None and key in self.journal.completed:
+            _bump(self.stats, "supervisor_resumed", "supervisor.resumed")
+            obs.event("task-resumed", index=index, key=key)
+            value = self.journal.completed[key]
+            self._settle(index, value, JOURNALED)
+            if self.cache is not None:
+                # A resumed run leaves the cache as full as an
+                # uninterrupted one would.
+                self.cache.put(key, value)
+            return True
+        return False
+
+    def _settle(self, index: int, value: Any, origin: str) -> None:
+        self.results[index] = value
+        self.origins[index] = origin
+        live.note(done=1, resumed=1)
+
     def resume_completed(self) -> list[_Task]:
-        """Split the batch into journal hits and tasks still to run."""
-        pending: list[_Task] = []
-        for index in range(len(self.work)):
-            key = self.key(index)
-            if self.journal is not None and key is not None \
-                    and key in self.journal.completed:
-                self.results[index] = self.journal.completed[key]
-                _bump(self.stats, "supervisor_resumed",
-                      "supervisor.resumed")
-                obs.event("task-resumed", index=index, key=key)
-                continue
-            pending.append(_Task(index=index, key=key))
-        return pending
+        """Answer what the cache and journal can; the rest still runs."""
+        return [_Task(index=index, key=self.key(index))
+                for index in range(len(self.work))
+                if not self.answer(index)]
 
     def complete(self, task: _Task, result: Any) -> None:
         live.note(done=1)
         self.results[task.index] = result
+        self.origins[task.index] = COMPUTED
         if self.journal is not None and task.key is not None:
             before = self.journal.stats.entries_recorded
             self.journal.record(task.key, result)
@@ -267,6 +315,8 @@ class TaskLedger:
                 self.journal.flush()
                 self.plan.on_checkpoint(
                     self.journal.stats.entries_recorded)
+        if self.cache is not None and task.key is not None:
+            self.cache.put(task.key, result)
 
     def record_failure(self, task: _Task, failure: WorkerFailure) -> None:
         """A deterministic worker exception: latch the first one."""
@@ -311,24 +361,48 @@ class TaskLedger:
         return task
 
     # -- serial mode (no children needed / no fork available) ----------
-    def run_serial(self, pending: list[_Task], reason: str) -> None:
-        """Run *pending* in-parent, in order; *reason* says why no
-        child was forked (``jobs<=1``, ``single-item`` or ``no-fork``)."""
-        expected = reason in ("jobs<=1", "single-item")
-        obs.event("pool-fallback", level="info" if expected else "warning",
-                  reason=reason, items=len(pending))
-        _bump(self.stats, "pool_fallbacks", "pool.fallbacks")
-        with obs.span("supervisor.serial", reason=reason,
-                      items=len(pending)):
-            for task in pending:
+    def run_serial(self, pending: list[_Task] | None, reason: str) -> None:
+        """Run in-parent, in item order; *reason* says why no child was
+        forked (``jobs<=1``, ``single-item`` or ``no-fork``).
+
+        With *pending* ``None`` every item is probed lazily — cache,
+        journal, then the worker — and the loop ends at the first
+        result the ledger's stop predicate accepts.
+        """
+        if reason == "no-fork":
+            obs.event("pool-fallback", level="warning", reason=reason,
+                      items=len(pending))
+            _bump(self.stats, "pool_fallbacks", "pool.fallbacks")
+        items = len(self.work) if pending is None else len(pending)
+        with obs.span("supervisor.serial", reason=reason, items=items):
+            for task in (self._walk() if pending is None else pending):
                 if self.plan is not None:
                     self.plan.child_delay()
                 self.complete(task, self.worker(
                     self.context, self.work[task.index]))
-                live.tick()
+                live.tick(lambda: live.cache_payload(self.stats))
 
-    def ordered_results(self) -> list[Any]:
-        return [self.results[i] for i in range(len(self.work))]
+    def _walk(self):
+        """The lazily probed items still to run, in order, up to the
+        first result the stop predicate accepts."""
+        for index in range(len(self.work)):
+            if not self.answer(index):
+                yield _Task(index=index, key=self.key(index))
+            if self._stops(index):
+                return
+
+    def _stops(self, index: int) -> bool:
+        return self.stop is not None and self.stop(self.results[index])
+
+    def ordered_results(self) -> WorkResults:
+        """Results and origins in item order, truncated after the first
+        result the stop predicate accepts."""
+        end = len(self.work)
+        if self.stop is not None:
+            end = next((index + 1 for index in range(end)
+                        if self._stops(index)), end)
+        return WorkResults([self.results[i] for i in range(end)],
+                           [self.origins[i] for i in range(end)])
 
 
 def _spawn_dispatchable(ledger: "TaskLedger", portable) -> bool:
@@ -364,7 +438,9 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
                          batch_size: int | None = None,
                          prewarm: Callable[[], None] | None = None,
                          portable=None,
-                         ) -> list[Any]:
+                         cache=None,
+                         stop: Callable[[Any], bool] | None = None,
+                         ) -> WorkResults:
     """Apply ``worker(context, item)`` to every item; results in order.
 
     *worker* must be a module-level function when spawn dispatch is in
@@ -372,17 +448,24 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     unpicklable objects, but each **result** must pickle (an unpicklable
     result degrades that task to the in-parent fallback).
 
-    The call forks — through :class:`repro.engine.scheduler.BatchScheduler`
-    — when ``jobs > 1`` and more than one item is pending, when
-    *policy* sets a timeout, or when a fault *plan* is injected; a
-    single pending task then runs on one worker.  Otherwise
-    the items run in the parent's serial loop.  Either way the work
-    runs under *policy*'s retry/degradation ladder (the default
-    :class:`SupervisorPolicy` when ``None``), and — when *journal* and
-    *keys* (one per item) are given — completed items are checkpointed
-    durably and journal hits are returned without re-execution.
-    *batch_size* pins the scheduler's batch size instead of adapting it.
-    *stats*, when given, is an :class:`repro.engine.EngineStats`.
+    *keys* (one per item) address *cache* (a
+    :class:`repro.engine.ResultCache`) and *journal*: an item is
+    answered from the cache, else replayed from the journal (and
+    stored in the cache), else run; a computed result is checkpointed,
+    then cached exactly as the worker returned it.  The returned
+    :class:`WorkResults` carries each item's origin.
+
+    The items left to run fork — through
+    :class:`repro.engine.scheduler.BatchScheduler` — when ``jobs > 1``
+    and more than one item is pending, when *policy* sets a timeout, or
+    when a fault *plan* is injected; otherwise they run in the parent's
+    serial loop.  Either way they run under *policy*'s retry/degradation
+    ladder (the default :class:`SupervisorPolicy` when ``None``).
+    *stop*, when given, truncates the results after the first one it
+    accepts; the ``jobs <= 1`` serial loop also stops computing there,
+    a forking run computes every item speculatively.  *batch_size* pins
+    the scheduler's batch size.  *stats*, when given, is an
+    :class:`repro.engine.EngineStats`.
 
     *prewarm*, when given, is called once in the parent immediately
     before children are forked — the engine call sites compile the
@@ -403,26 +486,30 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     work = list(items)
     if plan is None:
         plan = FaultPlan.from_env()
-    if journal is not None and (keys is None or len(keys) != len(work)):
-        raise ValueError("journaling needs one key per work item")
+    if (journal is not None or cache is not None) \
+            and (keys is None or len(keys) != len(work)):
+        raise ValueError("caching and journaling need one key per work "
+                         "item")
     policy = policy or SupervisorPolicy()
 
     ledger = TaskLedger(worker, work, context, stats, policy, journal,
-                        keys, fallback_worker, plan)
-    pending = ledger.resume_completed()
+                        keys, fallback_worker, plan, cache=cache,
+                        stop=stop)
     live.begin_stage(getattr(worker, "__name__", "supervised.map"),
-                     total=len(work),
-                     resumed=len(work) - len(pending))
+                     total=len(work))
     live.tick()
+    if jobs <= 1 and policy.timeout is None and plan is None:
+        ledger.run_serial(None, "jobs<=1")
+        return ledger.ordered_results()
+    pending = ledger.resume_completed()
     if pending:
-        forks = (jobs > 1 and len(pending) > 1
-                 or policy.timeout is not None or plan is not None)
+        forks = (len(pending) > 1 or policy.timeout is not None
+                 or plan is not None)
         fork = forks and parallelism_available()
         spawn = (forks and not fork and portable is not None
                  and _spawn_dispatchable(ledger, portable))
         if not forks:
-            ledger.run_serial(pending, "jobs<=1" if jobs <= 1
-                              else "single-item")
+            ledger.run_serial(pending, "single-item")
         elif not (fork or spawn):
             ledger.run_serial(pending, "no-fork")
         else:

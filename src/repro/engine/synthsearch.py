@@ -41,11 +41,11 @@ parent's evaluation state is checkpointed in place:
   trail query count as ``synthsearch.combos_pruned``; the witness is
   the recorded prune justification.
 
-Parallel runs partition the pending combinations into contiguous
-subtree work units dispatched through
-:func:`repro.engine.supervisor.supervise_work_items` (batch scheduler
-or serial loop alike); each unit is evaluated self-contained, so
-verdicts are byte-identical for every ``--jobs`` setting.  Under a
+The pending combinations are partitioned into contiguous subtree work
+units of :func:`repro.engine.supervisor.supervise_work_items` (result
+cache and run journal first, then batch scheduler or serial loop
+alike); each unit is evaluated self-contained, so verdicts are
+byte-identical for every ``--jobs`` setting.  Under a
 :class:`repro.engine.journal.RunJournal` the units additionally
 exchange exact trail results through a :class:`PruneBoard` (an
 append-only ``prunes.jsonl`` next to the journal): workers publish
@@ -67,7 +67,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 from repro.core.pseudolivelock import elementary_pseudo_livelocks
 from repro.core.selfdisabling import local_transition_graph
 from repro.engine.fingerprint import analysis_key
-from repro.engine.supervisor import supervise_work_items
+from repro.engine.supervisor import CACHED, supervise_work_items
 from repro.graphs import has_cycle
 from repro.obs import runtime as obs
 from repro.protocol.actions import LocalTransition
@@ -581,6 +581,7 @@ class LatticeSearch:
         self.jobs = synthesizer.jobs
         self.policy = synthesizer.policy
         self.journal = synthesizer.journal
+        self.cache = synthesizer.cache
         self.batch_size = synthesizer.batch_size
         self.fault_plan = getattr(synthesizer, "fault_plan", None)
         self._name = f"{self.protocol.name}_ss"
@@ -716,35 +717,34 @@ class LatticeSearch:
 
     def verdicts(self, combos: Sequence[tuple]) -> list[str | None]:
         """Lattice verdicts for *combos* (the pending subset of one
-        deterministic enumeration), dispatching subtree work units
-        through the supervisor when parallel or supervised."""
+        deterministic enumeration): subtree work units through
+        :func:`supervise_work_items`, which answers units from the
+        result cache and the run journal before walking the rest."""
         synthesizer = self.synthesizer
         uniform = self._uniform_reason(combos)
-        if uniform is _INVALID_POOL:
-            return [synthesizer._evaluate_verdict(combo)
-                    for combo in combos]
         if uniform is not None:
+            self.stats.work_items += len(combos)
+            if uniform is _INVALID_POOL:
+                return [synthesizer._evaluate_verdict(combo)
+                        for combo in combos]
             self._fold({"combos_pruned": len(combos)})
             return [uniform] * len(combos)
-        units = self._plan_units(combos)
-        supervised = (self.policy is not None or self.journal is not None
-                      or self.fault_plan is not None)
-        if supervised or (self.jobs > 1 and len(units) > 1):
-            items = [combos[start:end] for start, end in units]
-            keys = ([self._unit_key(item) for item in items]
-                    if self.journal is not None else None)
-            results = supervise_work_items(
-                _lattice_unit_worker, items, jobs=self.jobs,
-                context=synthesizer, stats=self.stats,
-                policy=self.policy, journal=self.journal, keys=keys,
-                fallback_worker=_lattice_unit_worker,
-                plan=self.fault_plan, batch_size=self.batch_size,
-                prewarm=self._prewarm)
-            reasons: list[str | None] = []
-            for unit_reasons, delta in results:
+        items = [combos[start:end]
+                 for start, end in self._plan_units(combos)]
+        keys = ([self._unit_key(item) for item in items]
+                if self.journal is not None or self.cache is not None
+                else None)
+        results = supervise_work_items(
+            _lattice_unit_worker, items, jobs=self.jobs,
+            context=synthesizer, stats=self.stats, policy=self.policy,
+            journal=self.journal, cache=self.cache, keys=keys,
+            fallback_worker=_lattice_unit_worker, plan=self.fault_plan,
+            batch_size=self.batch_size, prewarm=self._prewarm)
+        reasons: list[str | None] = []
+        for item, (unit_reasons, delta), origin in zip(
+                items, results, results.origins):
+            if origin != CACHED:
+                self.stats.work_items += len(item)
                 self._fold(delta)
-                reasons.extend(unit_reasons)
-            return reasons
-        unit_reasons, delta = self.evaluate_unit(combos)
-        self._fold(delta)
-        return unit_reasons
+            reasons.extend(unit_reasons)
+        return reasons

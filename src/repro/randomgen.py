@@ -25,7 +25,7 @@ from repro.core.livelock import LivelockCertifier, LivelockVerdict
 from repro.core.selfdisabling import action_for_transition
 from repro.engine import EngineStats, ResultCache, analysis_key, \
     supervise_work_items
-from repro.engine.supervisor import SupervisorPolicy
+from repro.engine.supervisor import COMPUTED, SupervisorPolicy
 from repro.protocol.actions import LocalTransition
 from repro.protocol.localstate import LocalState
 from repro.protocol.process import ProcessTemplate
@@ -210,11 +210,12 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
     returns a clean report.
 
     Sampling is always serial (the RNG stream fixes the protocols), but
-    the per-protocol audits are independent work items: ``jobs > 1``
-    fans them out over worker processes, and *cache* reuses per-sample
-    outcomes keyed on each protocol's structural fingerprint — both with
-    aggregate reports identical to the serial, uncached run.  *policy*
-    supervises the fanned-out audits (per-item timeouts, crash retry,
+    the per-protocol audits are independent work items of
+    :func:`repro.engine.supervise_work_items`: *cache* answers
+    per-sample outcomes keyed on each protocol's structural fingerprint
+    and ``jobs > 1`` fans the rest out over worker processes — both
+    with aggregate reports identical to the serial, uncached run.
+    *policy* supervises the audits (per-item timeouts, crash retry,
     degradation to an in-parent audit — see
     :mod:`repro.engine.supervisor`).
     """
@@ -223,53 +224,30 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
     stats = EngineStats(jobs=jobs)
     protocols = [sampler.sample() for _ in range(samples)]
 
-    outcomes: dict[int, _SampleOutcome] = {}
+    keys = ([analysis_key("audit-sample", protocol,
+                          max_ring_size=max_ring_size)
+             for protocol in protocols] if cache is not None else None)
     with stats.stage("audit", samples=samples,
                      max_ring_size=max_ring_size, jobs=jobs):
-        pending: list[int] = []
-        keys: dict[int, str] = {}
-        for index, protocol in enumerate(protocols):
-            if cache is not None:
-                keys[index] = analysis_key("audit-sample", protocol,
-                                           max_ring_size=max_ring_size)
-                cached = cache.get(keys[index])
-                if cached is not None:
-                    stats.cache_hits += 1
-                    outcomes[index] = cached
-                    continue
-                stats.cache_misses += 1
-            pending.append(index)
-
-        if (jobs > 1 and len(pending) > 1) or policy is not None:
-            # No prewarm hook: every sampled protocol is distinct, so
-            # there is no shared kernel to compile ahead of the fork.
-            fresh = supervise_work_items(
-                _audit_indexed_worker, pending, jobs=jobs,
-                context=(max_ring_size, protocols), stats=stats,
-                policy=policy, fallback_worker=_audit_indexed_worker,
-                batch_size=batch_size)
-        else:
-            fresh = [_audit_one(max_ring_size, protocols[index])
-                     for index in pending]
-        for index, outcome in zip(pending, fresh):
-            stats.work_items += 1
-            stats.states_explored += outcome.states_explored
-            # getattr: outcomes unpickled from pre-kernel cache entries
-            # lack the counter fields.
-            stats.compile_seconds += getattr(
-                outcome, "compile_seconds", 0.0)
-            stats.encode_seconds += getattr(
-                outcome, "encode_seconds", 0.0)
-            stats.states_encoded += getattr(
-                outcome, "states_encoded", 0)
-            outcomes[index] = outcome
-            if cache is not None:
-                cache.put(keys[index], outcome)
+        # No prewarm hook: every sampled protocol is distinct, so there
+        # is no shared kernel to compile ahead of the fork.
+        outcomes = supervise_work_items(
+            _audit_indexed_worker, range(samples), jobs=jobs,
+            context=(max_ring_size, protocols), stats=stats,
+            policy=policy, cache=cache, keys=keys,
+            fallback_worker=_audit_indexed_worker,
+            batch_size=batch_size)
+        for outcome, origin in zip(outcomes, outcomes.origins):
+            if origin == COMPUTED:
+                stats.work_items += 1
+                stats.states_explored += outcome.states_explored
+                stats.compile_seconds += outcome.compile_seconds
+                stats.encode_seconds += outcome.encode_seconds
+                stats.states_encoded += outcome.states_encoded
 
     report = AuditReport(samples=samples, certificates_issued=0,
                          deadlock_checks=0, stats=stats)
-    for index in range(samples):
-        outcome = outcomes[index]
+    for outcome in outcomes:
         if outcome.certified:
             report.certificates_issued += 1
         report.deadlock_checks += outcome.deadlock_checks

@@ -74,9 +74,12 @@ class TestFallback:
         protocol = stabilizing_sum_not_two()
         searcher = ContiguousTrailSearcher(protocol)
         supports = pseudo_livelock_supports(protocol.space.transitions)
-        first = _find_trail_fallback(searcher, supports[0])
-        second = _find_trail_fallback(searcher, supports[-1])
+        # Worker-shaped results: (witness, local-kernel counter delta),
+        # the delta None on the naive backend.
+        first, first_delta = _find_trail_fallback(searcher, supports[0])
+        second, _ = _find_trail_fallback(searcher, supports[-1])
         assert len(builds) == 1
+        assert first_delta is None
         assert first == searcher.find_trail(supports[0])
         assert second == searcher.find_trail(supports[-1])
 

@@ -89,6 +89,22 @@ def test_parallel_livelock_search_many_supports():
     assert parallel.stats.parallel or not parallelism_available()
 
 
+def test_parallel_livelock_search_keeps_worker_kernel_counters():
+    # Each trail worker returns its local-kernel counter delta with its
+    # witness, so a parallel certificate counts the projection prunes
+    # its children did (440 of Gouda-Acharya's 441 supports).  Fresh
+    # protocols: the local kernel, and its trail memo, is per protocol.
+    serial = LivelockCertifier(gouda_acharya_matching(),
+                               jobs=1).analyze()
+    parallel = LivelockCertifier(gouda_acharya_matching(),
+                                 jobs=2).analyze()
+    assert parallel.supports_checked == serial.supports_checked == 441
+    assert (parallel.stats.supports_pruned
+            == serial.stats.supports_pruned == 440)
+    assert (parallel.stats.mask_evaluations
+            == serial.stats.mask_evaluations)
+
+
 def test_parallel_fuzz_identical_report():
     serial = audit_theorems(samples=10, max_ring_size=3, seed=5, jobs=1)
     parallel = audit_theorems(samples=10, max_ring_size=3, seed=5,

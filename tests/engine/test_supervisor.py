@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import EngineStats
+from repro.engine import EngineStats, ResultCache
 from repro.engine.journal import RunJournal
 from repro.engine.pool import WorkerTraceback, parallelism_available
 from repro.engine.supervisor import (
+    CACHED,
+    COMPUTED,
     FAULT_ENV,
+    JOURNALED,
     FaultPlan,
     SupervisorError,
     SupervisorPolicy,
@@ -36,6 +39,18 @@ def failing_worker(context, item):
 
 def identity_fallback(context, item):
     return item * item
+
+
+def never_called(context, item):
+    raise AssertionError(f"the worker ran for item {item}")
+
+
+def nothing(context, item):
+    return None
+
+
+def _keys(count):
+    return [f"k{i}" for i in range(count)]
 
 
 # ----------------------------------------------------------------------
@@ -135,6 +150,140 @@ class TestDelegation:
         with pytest.raises(ValueError, match="one key per work item"):
             supervise_work_items(square, range(3), journal=journal,
                                  keys=["only-one"])
+
+
+# ----------------------------------------------------------------------
+# the ledger's cache -> journal -> run -> checkpoint -> store pipeline
+# ----------------------------------------------------------------------
+class TestLedgerPipeline:
+    def test_cache_hit_never_calls_the_worker_or_forks(self):
+        cache = ResultCache()
+        for key, item in zip(_keys(3), range(3)):
+            cache.put(key, item * item)
+        stats = EngineStats(jobs=2)
+        results = supervise_work_items(never_called, range(3), jobs=2,
+                                       stats=stats, cache=cache,
+                                       keys=_keys(3))
+        assert results == [0, 1, 4]
+        assert stats.cache_hits == 3 and stats.cache_misses == 0
+        assert stats.scheduler_batches == 0 and not stats.parallel
+
+    def test_miss_is_computed_and_stored(self):
+        cache = ResultCache()
+        stats = EngineStats()
+        results = supervise_work_items(square, range(3), stats=stats,
+                                       cache=cache, keys=_keys(3))
+        assert results == [0, 1, 4]
+        assert stats.cache_hits == 0 and stats.cache_misses == 3
+        assert [cache.get(key) for key in _keys(3)] == [0, 1, 4]
+        again = supervise_work_items(never_called, range(3), cache=cache,
+                                     keys=_keys(3))
+        assert again == results
+
+    def test_none_result_round_trips_through_disk(self, tmp_path):
+        supervise_work_items(nothing, [5], cache=ResultCache(tmp_path),
+                             keys=["k0"])
+        stats = EngineStats()
+        results = supervise_work_items(never_called, [5], stats=stats,
+                                       cache=ResultCache(tmp_path),
+                                       keys=["k0"])
+        assert results == [None]
+        assert results.origins == [CACHED]
+        assert stats.cache_hits == 1
+
+    def test_cache_is_probed_before_the_journal(self, tmp_path):
+        journal = RunJournal.create(tmp_path, run_id="order")
+        journal.record("k0", "from-journal")
+        cache = ResultCache()
+        cache.put("k0", "from-cache")
+        stats = EngineStats()
+        results = supervise_work_items(never_called, [0], stats=stats,
+                                       cache=cache, journal=journal,
+                                       keys=["k0"])
+        assert results == ["from-cache"]
+        assert stats.cache_hits == 1 and stats.supervisor_resumed == 0
+
+    def test_cache_hits_are_not_journaled(self, tmp_path):
+        journal = RunJournal.create(tmp_path, run_id="hits")
+        cache = ResultCache()
+        cache.put("k0", 0)
+        results = supervise_work_items(square, range(2), cache=cache,
+                                       journal=journal, keys=_keys(2))
+        assert results == [0, 1]
+        assert journal.stats.entries_recorded == 1
+        assert RunJournal.resume(tmp_path, "hits").completed == {"k1": 1}
+
+    def test_journal_replays_fill_the_cache(self, tmp_path):
+        journal = RunJournal.create(tmp_path, run_id="fill")
+        journal.record("k0", 0)
+        cache = ResultCache()
+        supervise_work_items(square, range(2), cache=cache,
+                             journal=journal, keys=_keys(2))
+        assert cache.get("k0") == 0 and cache.get("k1") == 1
+
+    def test_origins_are_reported(self, tmp_path):
+        journal = RunJournal.create(tmp_path, run_id="origins")
+        journal.record("k1", 1)
+        cache = ResultCache()
+        cache.put("k0", 0)
+        stats = EngineStats()
+        results = supervise_work_items(square, range(3), stats=stats,
+                                       cache=cache, journal=journal,
+                                       keys=_keys(3))
+        assert results == [0, 1, 4]
+        assert results.origins == [CACHED, JOURNALED, COMPUTED]
+        assert stats.cache_hits == 1 and stats.cache_misses == 2
+        assert stats.supervisor_resumed == 1
+        assert stats.supervisor_checkpoints == 1
+
+    @needs_fork
+    def test_scheduler_stores_results_and_reports_origins(self):
+        cache = ResultCache()
+        cache.put("k2", 4)
+        stats = EngineStats(jobs=2)
+        results = supervise_work_items(square, range(5), jobs=2,
+                                       stats=stats, cache=cache,
+                                       keys=_keys(5))
+        assert results == [0, 1, 4, 9, 16]
+        assert results.origins == [COMPUTED, COMPUTED, CACHED, COMPUTED,
+                                   COMPUTED]
+        assert stats.scheduler_batch_items == 4
+        assert [cache.get(key) for key in _keys(5)] == [0, 1, 4, 9, 16]
+
+    def test_caching_requires_one_key_per_item(self):
+        with pytest.raises(ValueError, match="one key per work item"):
+            supervise_work_items(square, range(3), cache=ResultCache())
+
+
+class TestStopPredicate:
+    def test_serial_loop_stops_computing_at_the_first_match(self):
+        cache = ResultCache()
+        stats = EngineStats()
+        results = supervise_work_items(square, range(6), stats=stats,
+                                       cache=cache, keys=_keys(6),
+                                       stop=lambda result: result >= 4)
+        assert results == [0, 1, 4]
+        # Nothing after the stop was probed or computed.
+        assert stats.cache_misses == 3
+        assert "k3" not in cache
+
+    def test_a_cached_match_stops_the_loop_too(self):
+        cache = ResultCache()
+        cache.put("k1", 99)
+        results = supervise_work_items(square, range(4), cache=cache,
+                                       keys=_keys(4),
+                                       stop=lambda result: result == 99)
+        assert results == [0, 99]
+        assert results.origins == [COMPUTED, CACHED]
+
+    @needs_fork
+    def test_forking_run_is_speculative_and_truncated(self):
+        cache = ResultCache()
+        results = supervise_work_items(square, range(6), jobs=2,
+                                       cache=cache, keys=_keys(6),
+                                       stop=lambda result: result >= 4)
+        assert results == [0, 1, 4]
+        assert cache.get("k5") == 25  # every item ran
 
 
 # ----------------------------------------------------------------------

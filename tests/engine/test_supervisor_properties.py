@@ -30,6 +30,7 @@ import pytest
 
 from repro.checker.sweep import sweep_verify
 from repro.core.synthesis import Synthesizer
+from repro.engine.cache import ResultCache
 from repro.engine.journal import RunJournal
 from repro.engine.pool import parallelism_available
 from repro.engine.supervisor import FaultPlan, SupervisorPolicy
@@ -68,18 +69,20 @@ def _reference(protocol):
     return sweep_verify(protocol, up_to=UP_TO, backend="naive", jobs=1)
 
 
-def _supervised(protocol, mode: str, tmp_path):
+def _supervised(protocol, mode: str, tmp_path, cache=None):
     """Run the sweep under *mode*'s injected fault, and return the
-    result (after a resume cycle for the kill mode)."""
+    result (after a resume cycle for the kill mode).  *cache*, when
+    given, backs the run that completes the sweep."""
     policy = SupervisorPolicy(retries=2, backoff=0.01)
     if mode in ("crash", "timeout"):
         if mode == "crash":
             result = sweep_verify(
                 protocol, up_to=UP_TO, jobs=2, policy=policy,
+                cache=cache,
                 fault_plan=FaultPlan(crash_items=frozenset({0, 2})))
         else:
             result = sweep_verify(
-                protocol, up_to=UP_TO, jobs=2,
+                protocol, up_to=UP_TO, jobs=2, cache=cache,
                 policy=SupervisorPolicy(timeout=0.5, retries=2,
                                         backoff=0.01),
                 fault_plan=FaultPlan(hang_items=frozenset({1}),
@@ -103,7 +106,7 @@ def _supervised(protocol, mode: str, tmp_path):
         rerun = RunJournal.resume(tmp_path, "prop")
         assert len(rerun) >= 1, "died before the first checkpoint"
         result = sweep_verify(protocol, up_to=UP_TO, jobs=2,
-                              policy=policy, journal=rerun)
+                              policy=policy, journal=rerun, cache=cache)
         # The resumed run answers every journaled item from the journal
         # (never re-executes it) and runs exactly the rest.
         assert result.stats.supervisor_resumed == \
@@ -149,8 +152,14 @@ def _assert_no_divergence(protocol, mode, tmp_path):
     kernel = sweep_verify(protocol, up_to=UP_TO, backend="auto", jobs=1)
     assert kernel.reports == reference.reports, \
         "kernel backend diverged from the naive reference"
-    supervised = _supervised(protocol, mode, tmp_path)
+    cache = ResultCache()
+    supervised = _supervised(protocol, mode, tmp_path, cache=cache)
     if supervised.reports == reference.reports:
+        # A second pass over the shared cache answers every size from
+        # it: identical reports, nothing computed.
+        warm = sweep_verify(protocol, up_to=UP_TO, jobs=2, cache=cache)
+        assert warm.reports == supervised.reports
+        assert warm.stats.work_items == 0
         return
 
     def diverges(candidate) -> bool:
@@ -232,17 +241,17 @@ def _synth_unfaulted(protocol):
     return comparable, (stats.combos_pruned, stats.full_evaluations)
 
 
-def _synth_supervised(protocol, mode: str, tmp_path):
+def _synth_supervised(protocol, mode: str, tmp_path, cache=None):
     policy = SupervisorPolicy(retries=2, backoff=0.01)
     if mode == "crash":
         synthesizer = Synthesizer(
             protocol, max_ring_size=SYNTH_MAX_RING, search="lattice",
-            jobs=2, policy=policy,
+            jobs=2, policy=policy, cache=cache,
             fault_plan=FaultPlan(crash_items=frozenset({0, 2})))
     elif mode == "timeout":
         synthesizer = Synthesizer(
             protocol, max_ring_size=SYNTH_MAX_RING, search="lattice",
-            jobs=2,
+            jobs=2, cache=cache,
             policy=SupervisorPolicy(timeout=0.5, retries=2,
                                     backoff=0.01),
             fault_plan=FaultPlan(hang_items=frozenset({1}),
@@ -252,7 +261,7 @@ def _synth_supervised(protocol, mode: str, tmp_path):
         dying = Synthesizer(
             protocol, max_ring_size=SYNTH_MAX_RING,
             search="lattice", jobs=1, policy=policy,
-            journal=journal,
+            journal=journal, cache=cache,
             fault_plan=FaultPlan(
                 die_after_checkpoints=1,
                 die=lambda status: (_ for _ in ()).throw(
@@ -273,7 +282,7 @@ def _synth_supervised(protocol, mode: str, tmp_path):
         assert len(rerun) >= 1, "died before the first unit checkpoint"
         synthesizer = Synthesizer(
             protocol, max_ring_size=SYNTH_MAX_RING, search="lattice",
-            jobs=2, policy=policy, journal=rerun)
+            jobs=2, policy=policy, journal=rerun, cache=cache)
         result = synthesizer.synthesize()
         # Journaled units are answered from the journal — their
         # verdicts AND counter deltas replay instead of re-running, so
@@ -296,12 +305,19 @@ def _assert_lattice_fault_free(seed: int, mode: str, tmp_path) -> None:
     unfaulted, counters = _synth_unfaulted(protocol)
     assert unfaulted == reference, \
         "unfaulted lattice diverged from the flat reference"
+    cache = ResultCache()
     faulted, faulted_counters = _synth_supervised(
-        protocol, mode, tmp_path)
+        protocol, mode, tmp_path, cache=cache)
     assert faulted == reference, \
         f"lattice search diverged under injected {mode}"
     assert faulted_counters == counters, \
         f"pruned/evaluated split drifted under injected {mode}"
+    # A second pass over the shared cache: identical result, no
+    # combination judged again.
+    warm = Synthesizer(protocol, max_ring_size=SYNTH_MAX_RING,
+                       search="lattice", jobs=2, cache=cache)
+    assert _synth_comparable(warm.synthesize()) == reference
+    assert warm.stats.work_items == 0
 
 
 @pytest.mark.parametrize("seed", range(SYNTH_SEEDS))
@@ -342,7 +358,7 @@ class TestShrinker:
 
         from repro.checker.sweep import SweepResult
 
-        def corrupted_supervised(protocol, mode, path):
+        def corrupted_supervised(protocol, mode, path, cache=None):
             genuine = _reference(protocol)
             return SweepResult(reports=genuine.reports[:-1],
                                elapsed_seconds=genuine.

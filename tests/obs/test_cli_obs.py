@@ -75,6 +75,41 @@ def test_check_json_includes_stats(capsys):
     assert data["stats"]["stage_seconds"]["check"] > 0
 
 
+def _run_log_metrics(path):
+    (metrics,) = [json.loads(line)["values"]
+                  for line in path.read_text().splitlines()
+                  if json.loads(line)["type"] == "metrics"]
+    return metrics
+
+
+def test_warm_check_reports_its_own_cache_hit(tmp_path, capsys):
+    # A warm `repro check` answers from the result cache: its metrics,
+    # engine line and ledger record are this run's, not a replay of the
+    # cold run's counters.
+    cache_dir = tmp_path / "cache"
+    runs = []
+    for name in ("cold", "warm"):
+        log = tmp_path / f"{name}.jsonl"
+        assert main(["check", "agreement-ss", "-K", "6", "--cache-dir",
+                     str(cache_dir), "--log-json", str(log)]) == 0
+        runs.append((_run_log_metrics(log), capsys.readouterr().out))
+    (cold, cold_out), (warm, warm_out) = runs
+    assert cold["engine.cache_misses"] == 1
+    assert cold.get("engine.cache_hits", 0) == 0
+    assert "1 work items; 64 states explored; cache 0 hits / 1 misses" \
+        in cold_out
+    assert warm["engine.cache_hits"] == 1
+    assert warm.get("engine.cache_misses", 0) == 0
+    assert warm.get("engine.work_items", 0) == 0
+    assert "engine: serial; 0 work items; 0 states explored; " \
+        "cache 1 hits / 0 misses\n" in warm_out
+    records = [json.loads(line) for line in
+               (cache_dir / "ledger.jsonl").read_text().splitlines()]
+    counters = [record["counters"] for record in records]
+    assert [c["work_items"] for c in counters] == [1, 0]
+    assert [c["cache_hits"] for c in counters] == [0, 1]
+
+
 def test_report_renders_run_log(tmp_path, capsys):
     log = tmp_path / "run.jsonl"
     assert main(["check", "agreement-ss", "-K", "4",
