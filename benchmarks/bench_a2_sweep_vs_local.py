@@ -16,7 +16,7 @@ import time
 from repro.checker.sweep import sweep_verify
 from repro.core.convergence import verify_convergence
 from repro.core.deadlock import DeadlockAnalyzer
-from repro.engine import ResultCache
+from repro.engine import Executor, ResultCache
 from repro.protocols import (
     generalizable_matching,
     nongeneralizable_matching,
@@ -68,14 +68,14 @@ def engine_comparison(tmp_dir):
         result = sweep_verify(protocol, up_to=7, start=3, **kwargs)
         return result, time.perf_counter() - began
 
-    naive, naive_s = timed(jobs=1, backend="naive")
-    serial, serial_s = timed(jobs=1)
+    naive, naive_s = timed(backend="naive")
+    serial, serial_s = timed()
     assert naive.reports == serial.reports  # backends report identically
-    parallel, parallel_s = timed(jobs=2)
+    parallel, parallel_s = timed(executor=Executor(jobs=2))
     assert parallel.reports == serial.reports
-    cache = ResultCache(tmp_dir)
-    warm, _ = timed(cache=cache)
-    cached, cached_s = timed(cache=cache)
+    cached_executor = Executor(cache=ResultCache(tmp_dir))
+    warm, _ = timed(executor=cached_executor)
+    cached, cached_s = timed(executor=cached_executor)
     assert cached.reports == serial.reports
     assert cached.stats.cache_hits == len(serial.reports)
     assert warm.reports == serial.reports

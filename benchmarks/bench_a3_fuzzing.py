@@ -8,6 +8,7 @@ independent work items for the ``repro.engine`` pool).
 
 import time
 
+from repro.engine import Executor
 from repro.randomgen import audit_theorems
 from repro.viz import render_table
 
@@ -22,7 +23,7 @@ def test_a3_fuzz_audit_clean(benchmark, write_artifact):
     serial_s = report.stats.total_seconds
     began = time.perf_counter()
     parallel = audit_theorems(samples=40, max_ring_size=4, seed=123,
-                              jobs=2)
+                              executor=Executor(jobs=2))
     parallel_s = time.perf_counter() - began
     assert parallel.clean
     assert (parallel.samples, parallel.certificates_issued,

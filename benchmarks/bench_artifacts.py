@@ -27,7 +27,7 @@ import pytest
 
 import repro.engine.artifacts as artifact_plane
 from repro.checker.sweep import sweep_verify
-from repro.engine import ResultCache
+from repro.engine import Executor, ResultCache
 from repro.engine.pool import START_METHOD_ENV
 from repro.protocols import generalizable_matching
 from repro.serialization import global_report_to_dict
@@ -70,7 +70,7 @@ def _timed_sweep(up_to, *, root=None, cache=None, method=None,
         began = time.perf_counter()
         with artifact_plane.plane(store):
             result = sweep_verify(generalizable_matching(), up_to=up_to,
-                                  jobs=jobs, cache=cache)
+                                  executor=Executor(jobs=jobs, cache=cache))
         elapsed = time.perf_counter() - began
     finally:
         if store is not None:

@@ -20,7 +20,7 @@ from repro.checker import check_instance
 from repro.checker.sweep import sweep_verify
 from repro.core.deadlock import DeadlockAnalyzer
 from repro.core.livelock import LivelockCertifier
-from repro.engine import ResultCache
+from repro.engine import Executor, ResultCache
 from repro.protocols import generalizable_matching
 from repro.viz import render_table
 
@@ -99,16 +99,16 @@ def test_x2_sweep_engine_modes(benchmark, write_artifact, tmp_path):
         return result, time.perf_counter() - began
 
     serial, serial_s = benchmark.pedantic(
-        lambda: timed(jobs=1), rounds=1, iterations=1)
-    naive, naive_s = timed(jobs=1, backend="naive")
+        timed, rounds=1, iterations=1)
+    naive, naive_s = timed(backend="naive")
     assert naive.reports == serial.reports  # backends report identically
-    parallel, parallel_s = timed(jobs=2)
+    parallel, parallel_s = timed(executor=Executor(jobs=2))
     assert parallel.reports == serial.reports
 
-    cache = ResultCache(tmp_path / "cache")
-    warm, warm_s = timed(cache=cache)
+    cached_executor = Executor(cache=ResultCache(tmp_path / "cache"))
+    warm, warm_s = timed(executor=cached_executor)
     assert warm.reports == serial.reports
-    cached, cached_s = timed(cache=cache)
+    cached, cached_s = timed(executor=cached_executor)
     assert cached.reports == serial.reports
     assert cached.stats.cache_hits == len(serial.reports)
     assert cached_s < serial_s  # the whole point of the cache

@@ -28,16 +28,9 @@ from typing import TYPE_CHECKING
 
 import repro.engine.artifacts as artifact_plane
 from repro.checker.convergence import GlobalReport, check_instance
-from repro.engine import EngineStats, ResultCache, analysis_key, \
-    supervise_work_items
-from repro.engine.journal import RunJournal
+from repro.engine import EngineStats, analysis_key, supervise_work_items
 from repro.engine.pool import PortableContext
-from repro.engine.supervisor import (
-    CACHED,
-    COMPUTED,
-    FaultPlan,
-    SupervisorPolicy,
-)
+from repro.engine.supervisor import CACHED, COMPUTED, SERIAL, Executor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocol.ring import RingProtocol
@@ -110,8 +103,8 @@ def sweep_fingerprint(protocol: "RingProtocol", up_to: int,
 
 def _checked_sizes(protocol: "RingProtocol", sizes: list[int], check,
                    stats: EngineStats, backend: str, symmetry: bool,
-                   cache: ResultCache | None, journal: RunJournal | None,
-                   **supervision) -> list[tuple[GlobalReport, float]]:
+                   executor: Executor, stop=None,
+                   ) -> list[tuple[GlobalReport, float]]:
     """Check *sizes* through :func:`supervise_work_items` and fold the
     per-size work this run did into *stats*."""
 
@@ -123,13 +116,13 @@ def _checked_sizes(protocol: "RingProtocol", sizes: list[int], check,
             _sweep_prewarm(protocol, backend)
 
     keys = ([_sweep_key(protocol, size, symmetry) for size in sizes]
-            if cache is not None or journal is not None else None)
+            if executor.keyed else None)
     outcomes = supervise_work_items(
         _sweep_worker, sizes, context=(protocol, check, backend, symmetry),
-        stats=stats, cache=cache, journal=journal, keys=keys,
-        fallback_worker=_sweep_fallback_worker, prewarm=prewarm,
-        portable=_sweep_portable(protocol, backend, symmetry),
-        **supervision)
+        stats=stats, fallback_worker=_sweep_fallback_worker,
+        prewarm=prewarm,
+        portable=_sweep_portable(protocol, backend, symmetry), stop=stop,
+        **executor.options(keys))
     for (report, _elapsed), origin in zip(outcomes, outcomes.origins):
         if origin == COMPUTED:
             stats.work_items += 1
@@ -145,9 +138,7 @@ def check_size(protocol: "RingProtocol", size: int,
                check=check_instance,
                backend: str = "auto",
                symmetry: bool = False,
-               cache: ResultCache | None = None,
-               policy: SupervisorPolicy | None = None,
-               batch_size: int | None = None,
+               executor: Executor = SERIAL,
                ) -> tuple[GlobalReport, EngineStats]:
     """Model-check ``p(size)`` as a one-size sweep, through the same
     work item and cache entry as :func:`sweep_verify`.  *check* is the
@@ -158,29 +149,24 @@ def check_size(protocol: "RingProtocol", size: int,
     of the run that computed the report)."""
     stats = EngineStats()
     [(report, _elapsed)] = _checked_sizes(
-        protocol, [size], check, stats, backend, symmetry, cache, None,
-        policy=policy, batch_size=batch_size)
+        protocol, [size], check, stats, backend, symmetry, executor)
     return report, stats
 
 
 def sweep_verify(protocol: "RingProtocol", up_to: int,
                  start: int | None = None,
                  stop_on_failure: bool = False,
-                 jobs: int = 1,
-                 cache: ResultCache | None = None,
                  backend: str = "auto",
                  symmetry: bool = False,
-                 policy: SupervisorPolicy | None = None,
-                 journal: RunJournal | None = None,
-                 fault_plan: FaultPlan | None = None,
-                 batch_size: int | None = None) -> SweepResult:
+                 executor: Executor = SERIAL) -> SweepResult:
     """Model-check every ring size from *start* (default: the read-window
     width) through *up_to*.
 
     Each size is one work item of
-    :func:`repro.engine.supervise_work_items`: answered from *cache*
+    :func:`repro.engine.supervise_work_items` run by *executor*
+    (:class:`repro.engine.supervisor.Executor`): answered from its cache
     (per-K entries keyed on the protocol fingerprint and the ring
-    size), else from *journal* (a prior run's finished sizes, whose
+    size), else from its journal (a prior run's finished sizes, whose
     partial :class:`EngineStats` merge into this run's counters), else
     checked — in worker processes when ``jobs > 1`` — and checkpointed.
     With ``stop_on_failure`` the sweep ends at the first
@@ -192,20 +178,19 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
     kernel (and, opt-in, its rotation quotient) replaces the naive
     per-state interpretation with identical verdicts.
 
-    *policy* supervises the per-K checks (timeouts, crash retry,
-    degradation to the in-parent naive backend — see
-    :mod:`repro.engine.supervisor`).  *fault_plan* is test-only
-    injection.  *batch_size* pins the batch scheduler's batch size.
+    The executor's policy supervises the per-K checks (timeouts, crash
+    retry, degradation to the in-parent naive backend — see
+    :mod:`repro.engine.supervisor`).
     """
     first = protocol.process.window_width if start is None else start
     if first > up_to:
         raise ValueError(f"empty sweep range {first}..{up_to}")
-    stats = EngineStats(jobs=jobs)
-    with stats.stage("sweep", start=first, up_to=up_to, jobs=jobs):
+    stats = EngineStats(jobs=executor.jobs)
+    with stats.stage("sweep", start=first, up_to=up_to,
+                     jobs=executor.jobs):
         outcomes = _checked_sizes(
             protocol, list(range(first, up_to + 1)), check_instance,
-            stats, backend, symmetry, cache, journal, jobs=jobs,
-            policy=policy, plan=fault_plan, batch_size=batch_size,
+            stats, backend, symmetry, executor,
             stop=_fails if stop_on_failure else None)
     return SweepResult(
         reports=tuple(report for report, _elapsed in outcomes),

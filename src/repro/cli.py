@@ -39,7 +39,7 @@ from repro.core import (
     verify_convergence,
 )
 from repro.core.deadlock import DeadlockAnalyzer
-from repro.engine.journal import JournalError
+from repro.errors import ReproError
 from repro.obs import runtime as obs
 from repro.protocols.registry import REGISTRY, get_protocol
 from repro.simulation import convergence_study
@@ -100,6 +100,7 @@ def _bounded(kind, minimum, strict: bool = False):
 _positive_int = _bounded(int, 1)
 _non_negative_int = _bounded(int, 0)
 _positive_float = _bounded(float, 0, strict=True)
+_ring_size = _bounded(int, 2)
 
 
 def _add_engine_options(parser: argparse.ArgumentParser,
@@ -162,11 +163,6 @@ def _add_supervisor_options(parser: argparse.ArgumentParser,
         "--retries", type=_non_negative_int, default=None, metavar="N",
         help="extra attempts for a crashed or timed-out work item "
              "before degrading (default: 2 once supervision is on)")
-    parser.add_argument(
-        "--batch-size", type=_positive_int, default=None, metavar="N",
-        help="pin the batch scheduler's batch size instead of adapting "
-             "it from observed task durations (1 = one task per "
-             "dispatch on the persistent workers)")
     if resume:
         parser.add_argument(
             "--checkpoint", action="store_true",
@@ -181,52 +177,6 @@ def _add_supervisor_options(parser: argparse.ArgumentParser,
             "--resume", default=None, metavar="ID",
             help="resume a prior --checkpoint run: items its journal "
                  "already holds are not re-executed")
-
-
-def _supervisor_policy(args: argparse.Namespace):
-    """The :class:`SupervisorPolicy` requested by the flags, or ``None``
-    (= the engine's default policy)."""
-    if args.timeout is None and args.retries is None:
-        return None
-    from repro.engine.supervisor import SupervisorPolicy
-
-    return SupervisorPolicy(
-        timeout=args.timeout,
-        retries=args.retries if args.retries is not None else 2)
-
-
-def _run_journal(args: argparse.Namespace, fingerprint: str):
-    """The :class:`RunJournal` requested by the flags, or ``None``.
-
-    ``--resume`` reloads (and fingerprint-checks) a prior run;
-    ``--checkpoint`` / ``--run-id`` start a new one and print its id so
-    a later ``--resume`` can name it.
-    """
-    resume = getattr(args, "resume", None)
-    checkpoint = getattr(args, "checkpoint", False) \
-        or getattr(args, "run_id", None) is not None
-    if resume is None and not checkpoint:
-        return None
-    from repro.engine.journal import RunJournal, runs_root
-
-    root = runs_root(args.cache_dir)
-    if resume is not None:
-        journal = RunJournal.resume(root, resume,
-                                    fingerprint=fingerprint)
-        print(f"resuming run {journal.run_id}: {len(journal)} "
-              f"completed items in the journal", file=sys.stderr)
-    else:
-        # Share the identity the live plane picked, so the journal
-        # and status.json land in the same runs/<run-id>/ directory.
-        journal = RunJournal.create(root,
-                                    run_id=args.run_id
-                                    or getattr(args, "live_run_id", None),
-                                    command=args.command,
-                                    fingerprint=fingerprint)
-        print(f"checkpointing to run {journal.run_id} "
-              f"(continue with --resume {journal.run_id})",
-              file=sys.stderr)
-    return journal
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
@@ -252,18 +202,55 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
              "'repro runs list|diff' (default: on)")
 
 
-def _engine_cache(args: argparse.Namespace):
-    """The :class:`ResultCache` requested by the flags, or ``None``.
+def _cache_requested(args: argparse.Namespace) -> bool:
+    """Whether the flags ask for the on-disk result cache: an explicit
+    ``--no-cache`` always wins; otherwise ``--cache-dir`` implies
+    ``--cache``."""
+    return not (args.cache is False
+                or (args.cache is None and args.cache_dir is None))
 
-    An explicit ``--no-cache`` always wins; otherwise ``--cache-dir``
-    implies ``--cache``.
+
+def _executor(args: argparse.Namespace, fingerprint: str | None = None):
+    """The one :class:`Executor` a command runs under, from its flags.
+
+    ``--jobs`` sets the worker count; ``--cache`` / ``--cache-dir`` the
+    result cache; ``--timeout`` / ``--retries`` the supervision policy
+    (``None`` = the engine's default).  Given the analysis
+    *fingerprint*, ``--resume`` reloads (and fingerprint-checks) a prior
+    run's journal, and ``--checkpoint`` / ``--run-id`` start a new one
+    and print its id so a later ``--resume`` can name it.
     """
-    if args.cache is False or (args.cache is None and args.cache_dir is None):
-        return None
     from repro.engine import DEFAULT_CACHE_DIR, ResultCache
+    from repro.engine.journal import RunJournal, runs_root
+    from repro.engine.supervisor import Executor, SupervisorPolicy
 
-    return ResultCache(args.cache_dir or DEFAULT_CACHE_DIR,
-                       limit_bytes=_cache_limit_bytes(args))
+    cache = policy = journal = None
+    if _cache_requested(args):
+        cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR,
+                            limit_bytes=_cache_limit_bytes(args))
+    if args.timeout is not None or args.retries is not None:
+        policy = SupervisorPolicy(
+            timeout=args.timeout,
+            retries=args.retries if args.retries is not None else 2)
+    if fingerprint is not None and args.resume is not None:
+        journal = RunJournal.resume(runs_root(args.cache_dir), args.resume,
+                                    fingerprint=fingerprint)
+        print(f"resuming run {journal.run_id}: {len(journal)} "
+              f"completed items in the journal", file=sys.stderr)
+    elif fingerprint is not None and (args.checkpoint
+                                      or args.run_id is not None):
+        # Share the identity the live plane picked, so the journal
+        # and status.json land in the same runs/<run-id>/ directory.
+        journal = RunJournal.create(runs_root(args.cache_dir),
+                                    run_id=args.run_id or getattr(
+                                        args, "live_run_id", None),
+                                    command=args.command,
+                                    fingerprint=fingerprint)
+        print(f"checkpointing to run {journal.run_id} "
+              f"(continue with --resume {journal.run_id})",
+              file=sys.stderr)
+    return Executor(jobs=args.jobs, cache=cache, policy=policy,
+                    journal=journal)
 
 
 def _cache_limit_bytes(args: argparse.Namespace) -> int | None:
@@ -289,11 +276,8 @@ def _artifact_store(args: argparse.Namespace):
     from repro.engine import DEFAULT_CACHE_DIR
 
     cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-    cache_requested = not (args.cache is False
-                           or (args.cache is None
-                               and args.cache_dir is None))
     store = artifact_plane.open_store(cache_dir, mode=mode,
-                                      cache_requested=cache_requested)
+                                      cache_requested=_cache_requested(args))
     with artifact_plane.plane(store):
         try:
             yield store
@@ -315,7 +299,7 @@ def _artifact_store(args: argparse.Namespace):
 #: and output flags are deliberately excluded: two runs of the same
 #: analysis must diff as equals regardless of where they journal.
 _LEDGER_FLAG_KEYS = (
-    "jobs", "backend", "symmetry", "batch_size", "search",
+    "jobs", "backend", "symmetry", "search",
     "timeout", "retries", "cache", "artifacts",
     "max_ring_size", "up_to", "ring_size", "samples", "seed",
     "stop_on_failure",
@@ -406,11 +390,15 @@ def _live_plane(args: argparse.Namespace):
         live_mod.deactivate(live_run)
 
 
-def _print_stats(stats, cache) -> None:
+def _print_summaries(executor, stats=None) -> None:
+    """The engine summary (*stats*), then the executor's cache and
+    journal summaries, of one command."""
     if stats is not None:
         print(stats.summary())
-    if cache is not None:
-        print(cache.stats.summary())
+    if executor.cache is not None:
+        print(executor.cache.stats.summary())
+    if executor.journal is not None:
+        print(executor.journal.stats.summary(), file=sys.stderr)
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -438,13 +426,10 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     protocol = _resolve_protocol(args.protocol)
-    cache = _engine_cache(args)
+    executor = _executor(args)
     report = verify_convergence(protocol,
                                 max_ring_size=args.max_ring_size,
-                                jobs=args.jobs, cache=cache,
-                                backend=args.backend,
-                                policy=_supervisor_policy(args),
-                                batch_size=args.batch_size)
+                                backend=args.backend, executor=executor)
     from repro.engine.fingerprint import protocol_fingerprint
 
     _note_ledger(args, protocol=protocol.name,
@@ -462,7 +447,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         analyzer = DeadlockAnalyzer(protocol)
         sizes = sorted(analyzer.deadlocked_ring_sizes(args.max_sizes))
         print(f"deadlocked ring sizes <= {args.max_sizes}: {sizes}")
-    _print_stats(report.stats, cache)
+    _print_summaries(executor, report.stats)
     return 0 if report.verdict.value == "converges" else 1
 
 
@@ -511,17 +496,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.checker.sweep import sweep_fingerprint, sweep_verify
 
     protocol = _resolve_protocol(args.protocol)
-    cache = _engine_cache(args)
     fingerprint = sweep_fingerprint(protocol, args.up_to,
                                     symmetry=args.symmetry)
-    journal = _run_journal(args, fingerprint)
+    executor = _executor(args, fingerprint)
     result = sweep_verify(protocol, up_to=args.up_to,
                           stop_on_failure=args.stop_on_failure,
-                          jobs=args.jobs, cache=cache,
                           backend=args.backend, symmetry=args.symmetry,
-                          policy=_supervisor_policy(args),
-                          journal=journal,
-                          batch_size=args.batch_size)
+                          executor=executor)
     _note_ledger(args, protocol=protocol.name, fingerprint=fingerprint,
                  verdict={
                      "all_self_stabilizing": result.all_self_stabilizing,
@@ -530,30 +511,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                  },
                  stats=result.stats)
     print(f"== per-size sweep of {protocol.name} ==")
-    print(result.summary())
-    if journal is not None:
-        print(journal.stats.summary(), file=sys.stderr)
-    if cache is not None:
-        print(cache.stats.summary())
+    print(result.summary())  # includes the engine summary
+    _print_summaries(executor)
     return 0 if result.all_self_stabilizing else 1
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.randomgen import audit_theorems
 
-    cache = _engine_cache(args)
+    executor = _executor(args)
     report = audit_theorems(samples=args.samples,
                             max_ring_size=args.max_ring_size,
-                            seed=args.seed,
-                            jobs=args.jobs, cache=cache,
-                            policy=_supervisor_policy(args),
-                            batch_size=args.batch_size)
+                            seed=args.seed, executor=executor)
     _note_ledger(args,
                  verdict={"clean": report.clean,
                           "discrepancies": len(report.discrepancies)},
                  stats=report.stats)
     print(report.summary())
-    _print_stats(report.stats, cache)
+    _print_summaries(executor, report.stats)
     for discrepancy in report.discrepancies:
         print(f"  {discrepancy.kind} at K={discrepancy.ring_size}:")
         print("    " + discrepancy.protocol_listing.replace("\n",
@@ -565,11 +540,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.checker.sweep import check_size
 
     protocol = _resolve_protocol(args.protocol)
-    cache = _engine_cache(args)
+    executor = _executor(args)
     report, stats = check_size(
         protocol, args.ring_size, check=check_instance,
-        backend=args.backend, symmetry=args.symmetry, cache=cache,
-        policy=_supervisor_policy(args), batch_size=args.batch_size)
+        backend=args.backend, symmetry=args.symmetry, executor=executor)
     from repro.engine.fingerprint import protocol_fingerprint
 
     _note_ledger(args, protocol=protocol.name,
@@ -584,7 +558,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0 if report.self_stabilizing else 1
     print(f"== global model checking of {protocol.name} ==")
     print(report.summary())
-    _print_stats(stats, cache)
+    _print_summaries(executor, stats)
     return 0 if report.self_stabilizing else 1
 
 
@@ -593,17 +567,12 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
     protocol = get_protocol(args.protocol)
     _annotate_protocol(protocol)
-    cache = _engine_cache(args)
     fingerprint = synthesis_fingerprint(protocol, args.max_ring_size)
-    journal = _run_journal(args, fingerprint)
+    executor = _executor(args, fingerprint)
     result = synthesize_convergence(protocol,
                                     max_ring_size=args.max_ring_size,
                                     backend=args.backend,
-                                    jobs=args.jobs, cache=cache,
-                                    policy=_supervisor_policy(args),
-                                    journal=journal,
-                                    batch_size=args.batch_size,
-                                    search=args.search)
+                                    search=args.search, executor=executor)
     _note_ledger(args, protocol=protocol.name, fingerprint=fingerprint,
                  verdict={"succeeded": result.succeeded},
                  stats=result.stats)
@@ -612,9 +581,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     if result.succeeded and result.protocol is not None:
         print()
         print(result.protocol.pretty())
-    if journal is not None:
-        print(journal.stats.summary(), file=sys.stderr)
-    _print_stats(result.stats, cache)
+    _print_summaries(executor, result.stats)
     return 0 if result.succeeded else 1
 
 
@@ -870,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="parameterized verification "
                                            "(all ring sizes)")
     verify.add_argument("protocol")
-    verify.add_argument("--max-ring-size", type=int, default=9,
+    verify.add_argument("--max-ring-size", type=_ring_size, default=9,
                         help="bound for the contiguous-trail sweep")
     verify.add_argument("--max-sizes", type=int, default=20,
                         help="horizon for deadlocked-size prediction")
@@ -896,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     hybrid = sub.add_parser("hybrid", help="local certificates refined "
                                            "by bounded global checking")
     hybrid.add_argument("protocol")
-    hybrid.add_argument("--max-ring-size", type=int, default=9)
+    hybrid.add_argument("--max-ring-size", type=_ring_size, default=9)
     hybrid.add_argument("--check-up-to", type=int, default=7,
                         help="largest ring size to model-check")
     _add_backend_options(hybrid)
@@ -916,7 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz = sub.add_parser("fuzz", help="random-protocol audit of the "
                                        "theorems against brute force")
     fuzz.add_argument("--samples", type=_positive_int, default=50)
-    fuzz.add_argument("--max-ring-size", type=int, default=5)
+    fuzz.add_argument("--max-ring-size", type=_ring_size, default=5)
     fuzz.add_argument("--seed", type=int, default=0)
     _add_engine_options(fuzz)
     _add_supervisor_options(fuzz)
@@ -947,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synthesize", help="Section 6 synthesis "
                                               "methodology")
     synth.add_argument("protocol")
-    synth.add_argument("--max-ring-size", type=int, default=9)
+    synth.add_argument("--max-ring-size", type=_ring_size, default=9)
     synth.add_argument(
         "--backend", choices=("auto", "kernel", "naive"), default="auto",
         help="candidate-evaluation engine: the compiled bitmask "
@@ -1136,7 +1103,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except JournalError as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

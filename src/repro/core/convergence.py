@@ -10,7 +10,7 @@ the problem statement's precondition that ``I`` be closed in ``p``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -21,8 +21,8 @@ from repro.core.livelock import (
     LivelockReport,
 )
 from repro.core.rcg import build_rcg
-from repro.engine import EngineStats, ResultCache, analysis_key
-from repro.engine.supervisor import SupervisorPolicy
+from repro.engine import EngineStats, analysis_key
+from repro.engine.supervisor import SERIAL, Executor
 from repro.protocol.localstate import LocalState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -175,44 +175,38 @@ def _reachability(graph) -> dict:
 def verify_convergence(protocol: "RingProtocol",
                        max_ring_size: int = 9,
                        check_livelocks: bool = True,
-                       jobs: int = 1,
-                       cache: ResultCache | None = None,
                        backend: str = "auto",
-                       policy: SupervisorPolicy | None = None,
-                       batch_size: int | None = None,
+                       executor: Executor = SERIAL,
                        ) -> ConvergenceReport:
     """The full parameterized analysis of *protocol*.
 
     ``max_ring_size`` bounds the ``(K, |E|)`` sweep of the
     contiguous-trail search.  With ``check_livelocks=False`` only the
     (exact) deadlock analysis runs and the verdict is ``UNKNOWN`` unless a
-    deadlock witness makes it ``DIVERGES``.  ``jobs > 1`` parallelises
-    the per-support trail searches; *cache* reuses whole convergence
-    reports across runs (keyed on the protocol fingerprint plus
-    ``max_ring_size`` / ``check_livelocks``); *backend* selects the
+    deadlock witness makes it ``DIVERGES``.  *backend* selects the
     contiguous-trail engine (``kernel``/``naive``, see
-    :class:`repro.core.trail.ContiguousTrailSearcher`); *policy*
-    supervises the fanned-out trail searches (timeouts, crash retry,
-    degradation — see :mod:`repro.engine.supervisor`); *batch_size*
-    pins the batch scheduler's batch size (verdict-identical).
+    :class:`repro.core.trail.ContiguousTrailSearcher`).  *executor*
+    (:class:`repro.engine.supervisor.Executor`) runs the per-support
+    trail searches — ``jobs > 1`` fans them out under its supervision
+    policy — and its cache reuses whole convergence reports across runs
+    (keyed on the protocol fingerprint plus ``max_ring_size`` /
+    ``check_livelocks``).
     """
-    stats = EngineStats(jobs=jobs)
-    key = None
-    if cache is not None:
-        key = analysis_key("verify-convergence", protocol,
-                           max_ring_size=max_ring_size,
-                           check_livelocks=check_livelocks,
-                           backend="kernel" if backend == "auto"
-                           else backend)
-        cached = cache.get(key)
-        if cached is not None:
-            stats.cache_hits += 1
-            return ConvergenceReport(
-                verdict=cached.verdict, deadlock=cached.deadlock,
-                livelock=cached.livelock, closure_ok=cached.closure_ok,
-                stats=stats)
-        stats.cache_misses += 1
+    stats = EngineStats(jobs=executor.jobs)
+    return executor.cached_report(
+        lambda: analysis_key("verify-convergence", protocol,
+                             max_ring_size=max_ring_size,
+                             check_livelocks=check_livelocks,
+                             backend="kernel" if backend == "auto"
+                             else backend),
+        stats,
+        lambda: _verify(protocol, max_ring_size, check_livelocks,
+                        backend, executor, stats))
 
+
+def _verify(protocol: "RingProtocol", max_ring_size: int,
+            check_livelocks: bool, backend: str, executor: Executor,
+            stats: EngineStats) -> ConvergenceReport:
     plane = artifact_plane.ambient()
     plane_before = plane.stats.snapshot() if plane is not None else None
     with stats.stage("closure"):
@@ -230,10 +224,12 @@ def verify_convergence(protocol: "RingProtocol",
 
         try:
             with stats.stage("livelock"):
+                # The whole convergence report is the cache entry; the
+                # inner certificate stores none of its own.
                 livelock = LivelockCertifier(
                     protocol, max_ring_size=max_ring_size,
-                    jobs=jobs, backend=backend,
-                    policy=policy, batch_size=batch_size).analyze()
+                    backend=backend,
+                    executor=replace(executor, cache=None)).analyze()
         except AssumptionViolation:
             # Theorem 5.14 does not apply (Assumptions 1/2 broken);
             # the deadlock half still stands, livelocks stay open.
@@ -250,11 +246,6 @@ def verify_convergence(protocol: "RingProtocol",
                 verdict = ConvergenceVerdict.UNKNOWN
     if plane is not None:
         stats.absorb_artifacts(plane.stats.delta_since(plane_before))
-    report = ConvergenceReport(verdict=verdict, deadlock=deadlock,
-                               livelock=livelock, closure_ok=closure_ok,
-                               stats=stats)
-    if cache is not None and key is not None:
-        cache.put(key, ConvergenceReport(
-            verdict=verdict, deadlock=deadlock, livelock=livelock,
-            closure_ok=closure_ok))
-    return report
+    return ConvergenceReport(verdict=verdict, deadlock=deadlock,
+                             livelock=livelock, closure_ok=closure_ok,
+                             stats=stats)

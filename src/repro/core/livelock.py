@@ -30,9 +30,8 @@ from repro.core.pseudolivelock import (
 )
 from repro.core.selfdisabling import is_self_disabling, is_self_terminating
 from repro.core.trail import ContiguousTrailSearcher, TrailWitness
-from repro.engine import EngineStats, ResultCache, analysis_key, \
-    supervise_work_items
-from repro.engine.supervisor import SupervisorPolicy
+from repro.engine import EngineStats, analysis_key, supervise_work_items
+from repro.engine.supervisor import SERIAL, Executor
 from repro.errors import AssumptionViolation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -111,29 +110,23 @@ class LivelockCertifier:
 
     Each candidate t-arc support is an independent contiguous-trail
     search — one work item of :func:`repro.engine.supervise_work_items`
-    — so ``jobs > 1`` fans the supports out over worker processes
-    (witnesses keep the serial support order, and each worker returns
-    its local-kernel counters with its witness).  *cache* reuses whole
-    reports across runs, keyed on the protocol fingerprint and the
-    analysis parameters.
+    — so an *executor* with ``jobs > 1`` fans the supports out over
+    worker processes (witnesses keep the serial support order, and each
+    worker returns its local-kernel counters with its witness).  The
+    executor's cache reuses whole reports across runs, keyed on the
+    protocol fingerprint and the analysis parameters.
     """
 
     def __init__(self, protocol: "RingProtocol",
                  max_ring_size: int = 9,
                  require_self_disabling: bool = True,
-                 jobs: int = 1,
-                 cache: ResultCache | None = None,
                  backend: str = "auto",
-                 policy: SupervisorPolicy | None = None,
-                 batch_size: int | None = None) -> None:
+                 executor: Executor = SERIAL) -> None:
         self.protocol = protocol
         self.max_ring_size = max_ring_size
         self.require_self_disabling = require_self_disabling
-        self.jobs = jobs
-        self.cache = cache
         self.backend = backend
-        self.policy = policy
-        self.batch_size = batch_size
+        self.executor = executor
 
     def _cache_key(self) -> str:
         # The backend is part of the key: verdicts are identical, but a
@@ -148,32 +141,9 @@ class LivelockCertifier:
         """Run the analysis; raises :class:`AssumptionViolation` when the
         protocol breaks Assumption 1/2 (use
         :func:`repro.core.selfdisabling.make_self_disabling` first)."""
-        stats = EngineStats(jobs=self.jobs)
-        if self.cache is not None:
-            cached = self.cache.get(self._cache_key())
-            if cached is not None:
-                stats.cache_hits += 1
-                return LivelockReport(
-                    verdict=cached.verdict,
-                    supports_checked=cached.supports_checked,
-                    trail_witnesses=cached.trail_witnesses,
-                    contiguous_only=cached.contiguous_only,
-                    note=cached.note,
-                    stats=stats,
-                )
-            stats.cache_misses += 1
-
-        report = self._analyze(stats)
-        if self.cache is not None:
-            # Store without run-local stats: a later hit gets its own.
-            self.cache.put(self._cache_key(), LivelockReport(
-                verdict=report.verdict,
-                supports_checked=report.supports_checked,
-                trail_witnesses=report.trail_witnesses,
-                contiguous_only=report.contiguous_only,
-                note=report.note,
-            ))
-        return report
+        stats = EngineStats(jobs=self.executor.jobs)
+        return self.executor.cached_report(
+            self._cache_key, stats, lambda: self._analyze(stats))
 
     def _analyze(self, stats: EngineStats) -> LivelockReport:
         space = self.protocol.space
@@ -211,10 +181,9 @@ class LivelockCertifier:
             # compiled the local kernel in-parent, so forked workers
             # inherit it hot.
             found = supervise_work_items(
-                _find_trail_worker, supports, jobs=self.jobs,
-                context=searcher, stats=stats, policy=self.policy,
-                fallback_worker=_find_trail_fallback,
-                batch_size=self.batch_size)
+                _find_trail_worker, supports, context=searcher,
+                stats=stats, fallback_worker=_find_trail_fallback,
+                **self.executor.options())
         stats.work_items += len(supports)
         witnesses = []
         for witness, delta in found:
@@ -235,10 +204,8 @@ class LivelockCertifier:
 
 def certify_livelock_freedom(protocol: "RingProtocol",
                              max_ring_size: int = 9,
-                             jobs: int = 1,
-                             cache: ResultCache | None = None,
-                             backend: str = "auto") -> LivelockReport:
+                             backend: str = "auto",
+                             executor: Executor = SERIAL) -> LivelockReport:
     """Convenience wrapper around :class:`LivelockCertifier`."""
     return LivelockCertifier(protocol, max_ring_size=max_ring_size,
-                             jobs=jobs, cache=cache,
-                             backend=backend).analyze()
+                             backend=backend, executor=executor).analyze()

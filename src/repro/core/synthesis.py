@@ -39,10 +39,8 @@ from repro.core.selfdisabling import (
     action_for_transition,
     local_transition_graph,
 )
-from repro.engine import EngineStats, ResultCache, analysis_key, \
-    supervise_work_items
-from repro.engine.journal import RunJournal
-from repro.engine.supervisor import COMPUTED, SupervisorPolicy
+from repro.engine import EngineStats, analysis_key, supervise_work_items
+from repro.engine.supervisor import COMPUTED, SERIAL, Executor
 from repro.errors import SynthesisFailure
 from repro.graphs import has_cycle
 from repro.graphs.fvs import FvsStats
@@ -143,10 +141,13 @@ class Synthesizer:
     transition set — permuted enumerations never re-search.  The rest
     are work items of :func:`repro.engine.supervise_work_items` (one
     per combination on the flat search, one per subtree unit on the
-    lattice), so *cache* and *journal* answer them across runs and
-    ``jobs > 1`` fans them out in deterministic batches; results and
-    the :class:`RejectedCombination` log are identical for every jobs
-    value.
+    lattice) run by *executor*
+    (:class:`repro.engine.supervisor.Executor`), so its cache and
+    journal answer them across runs and ``jobs > 1`` fans them out in
+    deterministic batches; results and the :class:`RejectedCombination`
+    log are identical under every executor.  A journaled run (same
+    protocol, same ``--run-id``) answers already-judged combinations
+    from the journal instead of re-searching.
     """
 
     def __init__(self, protocol: "RingProtocol",
@@ -156,13 +157,10 @@ class Synthesizer:
                  stop_at_first: bool = True,
                  accept_contiguous_only: bool = False,
                  backend: str = "auto",
-                 jobs: int = 1,
-                 cache: ResultCache | None = None,
-                 policy: SupervisorPolicy | None = None,
-                 journal: RunJournal | None = None,
-                 batch_size: int | None = None,
                  search: str = "lattice",
-                 fault_plan=None) -> None:
+                 executor: Executor = SERIAL) -> None:
+        if max_ring_size < 2:
+            raise ValueError("max_ring_size must be at least 2")
         resolved = "kernel" if backend == "auto" else backend
         if resolved not in ("kernel", "naive"):
             raise ValueError(f"unknown synthesis backend {backend!r}")
@@ -179,20 +177,8 @@ class Synthesizer:
         synthesis evidence (the paper's methodology is stated for
         unidirectional rings).  Set True to accept them knowingly."""
         self.backend = resolved
-        self.jobs = jobs
-        self.cache = cache
-        self.policy = policy
-        self.journal = journal
-        """Checkpoints each combination verdict durably; a resumed run
-        (same protocol, same ``--run-id``) answers already-judged
-        combinations from the journal instead of re-searching."""
-        self.batch_size = batch_size
-        self.fault_plan = fault_plan
-        """Deterministic fault injection
-        (:class:`repro.engine.supervisor.FaultPlan`) for the property
-        harness — sabotages supervised work-unit attempts, exactly as
-        in :func:`repro.checker.sweep.sweep_verify`."""
-        self.stats = EngineStats(jobs=jobs)
+        self.executor = executor
+        self.stats = EngineStats(jobs=executor.jobs)
         self._verdict_memo: dict[frozenset[LocalTransition],
                                  str | None] = {}
         self._kernel = None
@@ -372,7 +358,8 @@ class Synthesizer:
                 rejected=tuple(rejected))
 
         combos, exhausted = self._enumerate_combinations(candidates)
-        batch = 1 if self.jobs <= 1 else max(4 * self.jobs, 8)
+        jobs = self.executor.jobs
+        batch = 1 if jobs <= 1 else max(4 * jobs, 8)
         for start in range(0, len(combos), batch):
             chunk = combos[start:start + batch]
             for combo, reason in zip(chunk, self._verdicts(chunk)):
@@ -435,16 +422,13 @@ class Synthesizer:
                        ) -> list[str | None]:
         """Judge every combination from scratch, one work item each."""
         keys = ([self._verdict_key(combo) for combo in combos]
-                if self.cache is not None or self.journal is not None
-                else None)
+                if self.executor.keyed else None)
         # No prewarm hook: __init__ already compiled the local kernel
         # in-parent, so workers fork with it hot.
         computed = supervise_work_items(
-            _combo_verdict_worker, combos, jobs=self.jobs, context=self,
-            stats=self.stats, policy=self.policy, journal=self.journal,
-            cache=self.cache, keys=keys,
+            _combo_verdict_worker, combos, context=self, stats=self.stats,
             fallback_worker=_combo_verdict_worker,
-            plan=self.fault_plan, batch_size=self.batch_size)
+            **self.executor.options(keys))
         self.stats.work_items += computed.origins.count(COMPUTED)
         return computed
 
@@ -603,8 +587,8 @@ def synthesize_convergence(protocol: "RingProtocol",
     """Run the Section 6 methodology on *protocol*.
 
     Raises :class:`SynthesisFailure` when the caller sets
-    ``raise_on_failure=True`` and no combination is accepted.
-    Supervision keywords (``policy``, ``journal``, ``batch_size``) pass
+    ``raise_on_failure=True`` and no combination is accepted.  Every
+    other keyword (``backend``, ``search``, ``executor``, …) passes
     through to :class:`Synthesizer`.
     """
     raise_on_failure = kwargs.pop("raise_on_failure", False)

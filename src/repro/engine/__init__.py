@@ -7,6 +7,14 @@ contiguous-trail searches and per-protocol fuzzing audits are all
 embarrassingly parallel, and repeated CLI/benchmark invocations redo
 identical work.  This package supplies the missing pieces:
 
+* :class:`Executor` — *how* an analysis runs, never what it concludes:
+  one frozen value holding the worker count, the result cache, the
+  supervision policy, the run journal and (test-only) a fault plan.
+  The CLI builds it once from its flags and every verdict-producing
+  entry point takes it as ``executor=`` (default :data:`SERIAL`:
+  serial, uncached, unjournaled); fan-outs hand it to
+  :func:`supervise_work_items` as ``**executor.options(keys)``, and
+  whole-report caches go through :meth:`Executor.cached_report`;
 * :func:`supervise_work_items` — the one work-item pipeline: each item
   is answered from the result cache, else replayed from the run
   journal, else run — in the parent's serial loop (``jobs=1``, a single
@@ -42,7 +50,8 @@ identical work.  This package supplies the missing pieces:
   under :func:`supervise_work_items`: persistent supervised workers
   pulling adaptively sized batches (cost-model driven, heartbeat
   timeouts, requeue-on-crash) so micro-task sweeps stop paying one fork
-  and one fsync per task (CLI ``--jobs`` / ``--batch-size``);
+  and one fsync per task (CLI ``--jobs``; batch sizes come from the
+  measured task durations);
 * :mod:`repro.engine.artifacts` — the zero-copy artifact plane:
   compiled kernels, localkernel skeletons and per-``(protocol, K)``
   packed state graphs serialized into a content-addressed store under
@@ -88,6 +97,8 @@ from repro.engine.pool import (
 )
 from repro.engine.stats import EngineStats
 from repro.engine.supervisor import (
+    SERIAL,
+    Executor,
     FaultPlan,
     SupervisorError,
     SupervisorPolicy,
@@ -114,6 +125,7 @@ __all__ = [
     "PortableContext",
     "CompiledProtocol",
     "EngineStats",
+    "Executor",
     "FaultPlan",
     "JournalError",
     "JournalStats",
@@ -123,6 +135,7 @@ __all__ = [
     "PackedSpace",
     "ResultCache",
     "RunJournal",
+    "SERIAL",
     "SupervisorError",
     "SupervisorPolicy",
     "WorkerFailure",

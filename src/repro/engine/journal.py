@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.errors import ReproError
 from repro.obs import runtime as obs
 
 #: Journal lines carry a format version so a future layout change can
@@ -71,7 +72,7 @@ DEFAULT_GROUP_COMMIT_SECONDS = 0.05
 GROUP_COMMIT_MAX_ENTRIES = 128
 
 
-class JournalError(Exception):
+class JournalError(ReproError):
     """An unusable journal (missing run, mismatched fingerprint)."""
 
 
@@ -176,19 +177,25 @@ class RunJournal:
         run was created with — resuming a sweep of protocol A from a
         journal of protocol B is refused, not silently merged.
         Corrupt or truncated lines (the normal tail state after a hard
-        kill) are skipped with a warning.
+        kill) are skipped with a warning.  A run is its ``meta.json``: a
+        directory without one (say, the live status of a run that never
+        checkpointed) is no run to resume.
         """
         directory = Path(root) / run_id
-        if not directory.is_dir():
+        try:
+            text = (directory / "meta.json").read_text()
+        except OSError:
             raise JournalError(
                 f"no run {run_id!r} under {Path(root)} "
-                f"(known runs: {list_runs(root) or 'none'})")
-        journal = cls(directory=directory, run_id=run_id)
+                f"(known runs: {list_runs(root) or 'none'})") from None
         try:
-            journal.meta = json.loads(
-                (directory / "meta.json").read_text())
-        except (OSError, ValueError):
-            journal.meta = {"run_id": run_id}
+            meta = json.loads(text)
+        except ValueError as exc:
+            raise JournalError(
+                f"run {run_id!r} has an unreadable meta.json ({exc}); "
+                f"refusing to resume") from None
+        journal = cls(directory=directory, run_id=run_id, meta=meta,
+                      flush_interval=flush_interval)
         recorded = journal.meta.get("fingerprint")
         if fingerprint is not None and recorded is not None \
                 and recorded != fingerprint:

@@ -46,6 +46,10 @@ the scheduler supervises at *task* granularity under a
 Both ways share one :class:`TaskLedger`, so verdicts are identical by
 construction; the property-based differential harness checks it anyway.
 
+Callers do not thread these settings one by one: an :class:`Executor`
+holds the worker count, cache, policy, journal and fault plan, and a
+fan-out passes it on as ``**executor.options(keys)``.
+
 Workers are forked and inherit worker, context and items, so all three
 may hold unpicklable objects; only results cross the pipe.  A worker
 *exception* (as opposed to a death) is treated as deterministic: it is
@@ -64,8 +68,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.engine.pool import (
     WorkerFailure,
@@ -75,6 +79,10 @@ from repro.engine.pool import (
 )
 from repro.obs import live
 from repro.obs import runtime as obs
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.cache import ResultCache
+    from repro.engine.journal import RunJournal
 
 #: Environment variable read by :meth:`FaultPlan.from_env`.
 FAULT_ENV = "REPRO_INJECT_FAULT"
@@ -194,6 +202,70 @@ class FaultPlan:
                    hang_items=frozenset(hang),
                    die_after_checkpoints=die_after,
                    delay_seconds=delay)
+
+
+_Report = TypeVar("_Report")
+
+
+@dataclass(frozen=True)
+class Executor:
+    """How an analysis runs its work items — never what it concludes.
+
+    Built once (the CLI builds it from ``--jobs``, the cache flags,
+    ``--timeout`` / ``--retries`` and ``--checkpoint`` / ``--resume``)
+    and handed to every entry point as ``executor=``: *jobs* worker
+    processes, a result *cache*, a supervision *policy* (``None`` =
+    the default :class:`SupervisorPolicy`), a run *journal*, and *plan*,
+    test-only fault injection.  Verdicts are identical under every
+    executor; :data:`SERIAL` is the serial, uncached default.
+    """
+
+    jobs: int = 1
+    cache: "ResultCache | None" = None
+    policy: SupervisorPolicy | None = None
+    journal: "RunJournal | None" = None
+    plan: FaultPlan | None = None
+
+    @property
+    def keyed(self) -> bool:
+        """Whether work items need keys: a cache or a journal answers
+        them by key."""
+        return self.cache is not None or self.journal is not None
+
+    def options(self, keys: Sequence[str] | None = None) -> dict:
+        """This executor as :func:`supervise_work_items` keywords for
+        items addressed by *keys*; without keys the cache and journal
+        (which need one key per item) stay out of the fan-out."""
+        options = {"jobs": self.jobs, "policy": self.policy,
+                   "plan": self.plan, "keys": keys}
+        if keys is not None:
+            options.update(cache=self.cache, journal=self.journal)
+        return options
+
+    def cached_report(self, key: Callable[[], str], stats: Any,
+                      compute: Callable[[], _Report]) -> _Report:
+        """A whole analysis report (a frozen dataclass with a ``stats``
+        field), answered from the cache under ``key()`` or computed.
+
+        A hit carries *stats* (counting the hit), never the stats of
+        the run that stored it; a computed report is stored without
+        its run-local stats, so a later hit gets its own.
+        """
+        if self.cache is None:
+            return compute()
+        entry = key()
+        cached = self.cache.get(entry)
+        if cached is not None:
+            stats.cache_hits += 1
+            return replace(cached, stats=stats)
+        stats.cache_misses += 1
+        report = compute()
+        self.cache.put(entry, replace(report, stats=None))
+        return report
+
+
+#: The default executor: serial, uncached, unjournaled.
+SERIAL = Executor()
 
 
 # ----------------------------------------------------------------------

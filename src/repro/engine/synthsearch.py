@@ -578,12 +578,7 @@ class LatticeSearch:
         self.base_deadlocks = synthesizer._base_deadlocks
         self.max_ring_size = synthesizer.max_ring_size
         self.stats = synthesizer.stats
-        self.jobs = synthesizer.jobs
-        self.policy = synthesizer.policy
-        self.journal = synthesizer.journal
-        self.cache = synthesizer.cache
-        self.batch_size = synthesizer.batch_size
-        self.fault_plan = getattr(synthesizer, "fault_plan", None)
+        self.executor = synthesizer.executor
         self._name = f"{self.protocol.name}_ss"
         self._base_cyclic = has_cycle(
             local_transition_graph(self.base_transitions))
@@ -594,9 +589,9 @@ class LatticeSearch:
         self._counts: dict[str, int | float] = \
             {name: 0 for name in COUNTER_NAMES}
         self._board = None
-        if self.journal is not None:
+        if self.executor.journal is not None:
             self._board = PruneBoard(
-                Path(self.journal.directory) / "prunes.jsonl")
+                Path(self.executor.journal.directory) / "prunes.jsonl")
         self._walker = LatticeWalker(
             self.kernel, self.base_transitions, self.max_ring_size,
             self._counts, publishing=self._board is not None)
@@ -648,7 +643,7 @@ class LatticeSearch:
         until there are enough units to keep every worker fed."""
         if len(combos) <= 1:
             return [(0, len(combos))]
-        target = min(len(combos), max(4 * max(self.jobs, 1), 4))
+        target = min(len(combos), max(4 * max(self.executor.jobs, 1), 4))
         width = len(combos[0])
         ranges = [(0, len(combos))]
         for depth in range(1, width + 1):
@@ -732,14 +727,11 @@ class LatticeSearch:
         items = [combos[start:end]
                  for start, end in self._plan_units(combos)]
         keys = ([self._unit_key(item) for item in items]
-                if self.journal is not None or self.cache is not None
-                else None)
+                if self.executor.keyed else None)
         results = supervise_work_items(
-            _lattice_unit_worker, items, jobs=self.jobs,
-            context=synthesizer, stats=self.stats, policy=self.policy,
-            journal=self.journal, cache=self.cache, keys=keys,
-            fallback_worker=_lattice_unit_worker, plan=self.fault_plan,
-            batch_size=self.batch_size, prewarm=self._prewarm)
+            _lattice_unit_worker, items, context=synthesizer,
+            stats=self.stats, fallback_worker=_lattice_unit_worker,
+            prewarm=self._prewarm, **self.executor.options(keys))
         reasons: list[str | None] = []
         for item, (unit_reasons, delta), origin in zip(
                 items, results, results.origins):

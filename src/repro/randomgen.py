@@ -23,9 +23,8 @@ from repro.checker.statespace import StateGraph
 from repro.core.deadlock import DeadlockAnalyzer
 from repro.core.livelock import LivelockCertifier, LivelockVerdict
 from repro.core.selfdisabling import action_for_transition
-from repro.engine import EngineStats, ResultCache, analysis_key, \
-    supervise_work_items
-from repro.engine.supervisor import COMPUTED, SupervisorPolicy
+from repro.engine import EngineStats, analysis_key, supervise_work_items
+from repro.engine.supervisor import COMPUTED, SERIAL, Executor
 from repro.protocol.actions import LocalTransition
 from repro.protocol.localstate import LocalState
 from repro.protocol.process import ProcessTemplate
@@ -196,10 +195,7 @@ def _audit_one(max_ring_size: int, protocol: RingProtocol,
 def audit_theorems(samples: int = 50, max_ring_size: int = 5,
                    seed: int = 0,
                    sampler: ProtocolSampler | None = None,
-                   jobs: int = 1,
-                   cache: ResultCache | None = None,
-                   policy: SupervisorPolicy | None = None,
-                   batch_size: int | None = None) -> AuditReport:
+                   executor: Executor = SERIAL) -> AuditReport:
     """Fuzz Theorem 4.2 (exactness) and Theorem 5.14 (soundness).
 
     For each sampled protocol, compares the local per-size deadlock
@@ -211,32 +207,31 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
 
     Sampling is always serial (the RNG stream fixes the protocols), but
     the per-protocol audits are independent work items of
-    :func:`repro.engine.supervise_work_items`: *cache* answers
+    :func:`repro.engine.supervise_work_items` run by *executor*
+    (:class:`repro.engine.supervisor.Executor`): its cache answers
     per-sample outcomes keyed on each protocol's structural fingerprint
     and ``jobs > 1`` fans the rest out over worker processes — both
-    with aggregate reports identical to the serial, uncached run.
-    *policy* supervises the audits (per-item timeouts, crash retry,
-    degradation to an in-parent audit — see
-    :mod:`repro.engine.supervisor`).
+    with aggregate reports identical to the serial, uncached run.  Its
+    policy supervises the audits (per-item timeouts, crash retry,
+    degradation to an in-parent audit).
     """
     if sampler is None:
         sampler = ProtocolSampler(seed=seed)
-    stats = EngineStats(jobs=jobs)
+    stats = EngineStats(jobs=executor.jobs)
     protocols = [sampler.sample() for _ in range(samples)]
 
     keys = ([analysis_key("audit-sample", protocol,
                           max_ring_size=max_ring_size)
-             for protocol in protocols] if cache is not None else None)
+             for protocol in protocols] if executor.keyed else None)
     with stats.stage("audit", samples=samples,
-                     max_ring_size=max_ring_size, jobs=jobs):
+                     max_ring_size=max_ring_size, jobs=executor.jobs):
         # No prewarm hook: every sampled protocol is distinct, so there
         # is no shared kernel to compile ahead of the fork.
         outcomes = supervise_work_items(
-            _audit_indexed_worker, range(samples), jobs=jobs,
+            _audit_indexed_worker, range(samples),
             context=(max_ring_size, protocols), stats=stats,
-            policy=policy, cache=cache, keys=keys,
             fallback_worker=_audit_indexed_worker,
-            batch_size=batch_size)
+            **executor.options(keys))
         for outcome, origin in zip(outcomes, outcomes.origins):
             if origin == COMPUTED:
                 stats.work_items += 1

@@ -9,7 +9,12 @@ must shrug off corrupted entries rather than raising.
 from __future__ import annotations
 
 from repro.checker.sweep import sweep_verify
-from repro.engine import ResultCache, analysis_key, protocol_fingerprint
+from repro.engine import (
+    Executor,
+    ResultCache,
+    analysis_key,
+    protocol_fingerprint,
+)
 from repro.engine.cache import CacheStats
 from repro.protocol.process import ProcessTemplate
 from repro.protocol.ring import RingProtocol
@@ -70,19 +75,20 @@ def test_analysis_key_varies_with_parameters():
 def test_mutations_force_sweep_recompute(tmp_path):
     """End to end: action/invariant/parameter mutations miss the cache."""
     cache = ResultCache(tmp_path / "cache")
-    sweep_verify(agreement(), up_to=4, cache=cache)
+    cached = Executor(cache=cache)
+    sweep_verify(agreement(), up_to=4, executor=cached)
     baseline_stores = cache.stats.stores
 
     mutated_actions = sweep_verify(stabilizing_agreement(), up_to=4,
-                                   cache=cache)
+                                   executor=cached)
     assert mutated_actions.stats.cache_hits == 0
     assert cache.stats.stores > baseline_stores
 
     mutated_invariant = sweep_verify(
-        _protocol("x[0] != x[-1]"), up_to=4, cache=cache)
+        _protocol("x[0] != x[-1]"), up_to=4, executor=cached)
     assert mutated_invariant.stats.cache_hits == 0
 
-    wider = sweep_verify(agreement(), up_to=5, cache=cache)
+    wider = sweep_verify(agreement(), up_to=5, executor=cached)
     assert wider.stats.cache_hits == 3  # K=2..4 reused, K=5 fresh
     assert wider.stats.cache_misses == 1
 

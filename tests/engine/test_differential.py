@@ -21,6 +21,7 @@ import pytest
 from repro.checker.sweep import SweepResult, sweep_verify
 from repro.core.deadlock import DeadlockAnalyzer
 from repro.core.livelock import LivelockCertifier, LivelockVerdict
+from repro.engine import Executor
 from repro.randomgen import ProtocolSampler
 
 MAX_K = 4
@@ -38,8 +39,9 @@ def _sampled_protocols():
 
 @pytest.mark.parametrize("protocol", _sampled_protocols())
 def test_three_routes_agree(protocol):
-    serial = sweep_verify(protocol, up_to=MAX_K, jobs=1)
-    parallel = sweep_verify(protocol, up_to=MAX_K, jobs=2)
+    serial = sweep_verify(protocol, up_to=MAX_K)
+    parallel = sweep_verify(protocol, up_to=MAX_K,
+                            executor=Executor(jobs=2))
     predicted = DeadlockAnalyzer(protocol).deadlocked_ring_sizes(MAX_K)
     certificate = LivelockCertifier(
         protocol, max_ring_size=MAX_K + 1).analyze()
@@ -69,8 +71,9 @@ def test_differential_verdict_aggregates():
     sampler = ProtocolSampler(seed=7)
     for _ in range(SAMPLES_PER_SEED):
         protocol = sampler.sample()
-        serial = sweep_verify(protocol, up_to=MAX_K, jobs=1)
-        parallel = sweep_verify(protocol, up_to=MAX_K, jobs=3)
+        serial = sweep_verify(protocol, up_to=MAX_K)
+        parallel = sweep_verify(protocol, up_to=MAX_K,
+                                executor=Executor(jobs=3))
         assert isinstance(parallel, SweepResult)
         assert parallel.all_self_stabilizing == serial.all_self_stabilizing
         assert parallel.failing_sizes == serial.failing_sizes

@@ -12,10 +12,11 @@ import time
 
 import pytest
 
-from repro.checker.sweep import sweep_verify
-from repro.core.livelock import LivelockCertifier
+from repro.checker.sweep import check_size, sweep_verify
+from repro.core.livelock import LivelockCertifier, certify_livelock_freedom
 from repro.core.convergence import verify_convergence
-from repro.engine import ResultCache
+from repro.core.synthesis import synthesize_convergence
+from repro.engine import SERIAL, Executor, ResultCache
 from repro.engine.pool import parallelism_available
 from repro.protocols import (
     gouda_acharya_matching,
@@ -23,9 +24,12 @@ from repro.protocols import (
     nongeneralizable_matching,
     stabilizing_agreement,
     stabilizing_sum_not_two,
+    sum_not_two,
 )
 from repro.protocols.registry import REGISTRY, get_protocol
 from repro.randomgen import audit_theorems
+
+PARALLEL = Executor(jobs=2)
 
 
 # ----------------------------------------------------------------------
@@ -34,8 +38,8 @@ from repro.randomgen import audit_theorems
 def test_parallel_sweep_identical_reports():
     for protocol in (stabilizing_agreement(),
                      nongeneralizable_matching()):
-        serial = sweep_verify(protocol, up_to=6, jobs=1)
-        parallel = sweep_verify(protocol, up_to=6, jobs=2)
+        serial = sweep_verify(protocol, up_to=6)
+        parallel = sweep_verify(protocol, up_to=6, executor=PARALLEL)
         assert parallel.reports == serial.reports
         assert len(parallel.elapsed_seconds) == len(serial.reports)
 
@@ -45,8 +49,8 @@ def test_parallel_sweep_matches_serial_for_every_bundled_protocol(name):
     """The acceptance bar: `repro sweep --jobs N` verdicts are identical
     to serial for every protocol in the registry."""
     protocol = get_protocol(name)
-    serial = sweep_verify(protocol, up_to=5, jobs=1)
-    parallel = sweep_verify(protocol, up_to=5, jobs=2)
+    serial = sweep_verify(protocol, up_to=5)
+    parallel = sweep_verify(protocol, up_to=5, executor=PARALLEL)
     assert parallel.reports == serial.reports
     assert parallel.all_self_stabilizing == serial.all_self_stabilizing
     assert parallel.failing_sizes == serial.failing_sizes
@@ -54,18 +58,17 @@ def test_parallel_sweep_matches_serial_for_every_bundled_protocol(name):
 
 def test_parallel_sweep_stop_on_failure_matches_serial():
     protocol = nongeneralizable_matching()
-    serial = sweep_verify(protocol, up_to=8, stop_on_failure=True,
-                          jobs=1)
+    serial = sweep_verify(protocol, up_to=8, stop_on_failure=True)
     parallel = sweep_verify(protocol, up_to=8, stop_on_failure=True,
-                            jobs=2)
+                            executor=PARALLEL)
     assert parallel.reports == serial.reports
     assert parallel.sizes == (3, 4)  # truncated at the first failure
 
 
 def test_parallel_livelock_search_identical_report():
     for protocol in (stabilizing_sum_not_two(), livelock_agreement()):
-        serial = LivelockCertifier(protocol, jobs=1).analyze()
-        parallel = LivelockCertifier(protocol, jobs=2).analyze()
+        serial = LivelockCertifier(protocol).analyze()
+        parallel = LivelockCertifier(protocol, executor=PARALLEL).analyze()
         assert parallel.verdict is serial.verdict
         assert parallel.supports_checked == serial.supports_checked
         assert parallel.trail_witnesses == serial.trail_witnesses
@@ -77,10 +80,9 @@ def test_parallel_livelock_search_many_supports():
     # genuinely engage the pool (the protocols above have one support
     # each, which short-circuits to the serial path).
     protocol = gouda_acharya_matching()
-    serial = LivelockCertifier(protocol, max_ring_size=4,
-                               jobs=1).analyze()
+    serial = LivelockCertifier(protocol, max_ring_size=4).analyze()
     parallel = LivelockCertifier(protocol, max_ring_size=4,
-                                 jobs=2).analyze()
+                                 executor=PARALLEL).analyze()
     assert parallel.supports_checked == serial.supports_checked > 1
     assert parallel.trail_witnesses == serial.trail_witnesses
     assert parallel == serial
@@ -94,10 +96,9 @@ def test_parallel_livelock_search_keeps_worker_kernel_counters():
     # witness, so a parallel certificate counts the projection prunes
     # its children did (440 of Gouda-Acharya's 441 supports).  Fresh
     # protocols: the local kernel, and its trail memo, is per protocol.
-    serial = LivelockCertifier(gouda_acharya_matching(),
-                               jobs=1).analyze()
+    serial = LivelockCertifier(gouda_acharya_matching()).analyze()
     parallel = LivelockCertifier(gouda_acharya_matching(),
-                                 jobs=2).analyze()
+                                 executor=PARALLEL).analyze()
     assert parallel.supports_checked == serial.supports_checked == 441
     assert (parallel.stats.supports_pruned
             == serial.stats.supports_pruned == 440)
@@ -106,9 +107,9 @@ def test_parallel_livelock_search_keeps_worker_kernel_counters():
 
 
 def test_parallel_fuzz_identical_report():
-    serial = audit_theorems(samples=10, max_ring_size=3, seed=5, jobs=1)
+    serial = audit_theorems(samples=10, max_ring_size=3, seed=5)
     parallel = audit_theorems(samples=10, max_ring_size=3, seed=5,
-                              jobs=2)
+                              executor=PARALLEL)
     assert parallel.samples == serial.samples
     assert parallel.certificates_issued == serial.certificates_issued
     assert parallel.deadlock_checks == serial.deadlock_checks
@@ -117,9 +118,47 @@ def test_parallel_fuzz_identical_report():
 
 def test_parallel_verify_convergence_identical_verdict():
     for protocol in (stabilizing_agreement(), stabilizing_sum_not_two()):
-        serial = verify_convergence(protocol, jobs=1)
-        parallel = verify_convergence(protocol, jobs=2)
+        serial = verify_convergence(protocol)
+        parallel = verify_convergence(protocol, executor=PARALLEL)
         assert parallel == serial  # stats excluded from equality
+
+
+# ----------------------------------------------------------------------
+# every entry point: a parallel, cached executor == the default one
+# ----------------------------------------------------------------------
+def _audit_fields(report):
+    return (report.samples, report.certificates_issued,
+            report.deadlock_checks, report.discrepancies)
+
+
+def _synthesis_fields(result):
+    return result.outcome, result.chosen, result.rejected
+
+
+_ENTRY_POINTS = {
+    "sweep": lambda executor: sweep_verify(
+        stabilizing_agreement(), up_to=6, executor=executor).reports,
+    "check": lambda executor: check_size(
+        stabilizing_agreement(), 6, executor=executor)[0],
+    "certify": lambda executor: certify_livelock_freedom(
+        gouda_acharya_matching(), max_ring_size=4, executor=executor),
+    "verify": lambda executor: verify_convergence(
+        stabilizing_sum_not_two(), executor=executor),
+    "fuzz": lambda executor: _audit_fields(audit_theorems(
+        samples=6, max_ring_size=3, seed=5, executor=executor)),
+    "synthesize": lambda executor: _synthesis_fields(
+        synthesize_convergence(sum_not_two(), executor=executor)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_parallel_cached_executor_matches_the_default(entry, tmp_path):
+    run = _ENTRY_POINTS[entry]
+    reference = run(SERIAL)
+    executor = Executor(jobs=2, cache=ResultCache(tmp_path / "cache"))
+    assert run(executor) == reference  # cold: computed, then stored
+    assert run(executor) == reference  # warm: answered from the cache
+    assert executor.cache.stats.hits > 0
 
 
 # ----------------------------------------------------------------------
@@ -128,15 +167,16 @@ def test_parallel_verify_convergence_identical_verdict():
 def test_cached_sweep_identical_with_hits_and_speedup(tmp_path):
     protocol = stabilizing_agreement()
     cache = ResultCache(tmp_path / "cache")
+    cached = Executor(cache=cache)
 
     began = time.perf_counter()
-    first = sweep_verify(protocol, up_to=8, cache=cache)
+    first = sweep_verify(protocol, up_to=8, executor=cached)
     first_seconds = time.perf_counter() - began
     assert first.stats.cache_hits == 0
     assert first.stats.cache_misses == len(first.reports)
 
     began = time.perf_counter()
-    second = sweep_verify(protocol, up_to=8, cache=cache)
+    second = sweep_verify(protocol, up_to=8, executor=cached)
     second_seconds = time.perf_counter() - began
 
     assert second.reports == first.reports
@@ -151,26 +191,28 @@ def test_cached_sweep_identical_with_hits_and_speedup(tmp_path):
 def test_cached_sweep_served_from_disk_across_instances(tmp_path):
     protocol = stabilizing_agreement()
     directory = tmp_path / "cache"
-    first = sweep_verify(protocol, up_to=6, cache=ResultCache(directory))
+    first = sweep_verify(protocol, up_to=6,
+                         executor=Executor(cache=ResultCache(directory)))
 
     fresh_cache = ResultCache(directory)  # cold memory, warm disk
-    second = sweep_verify(protocol, up_to=6, cache=fresh_cache)
+    second = sweep_verify(protocol, up_to=6,
+                          executor=Executor(cache=fresh_cache))
     assert second.reports == first.reports
     assert fresh_cache.stats.disk_hits == len(first.reports)
 
 
 def test_cached_livelock_and_fuzz_reports_identical(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
+    cached = Executor(cache=ResultCache(tmp_path / "cache"))
     protocol = stabilizing_sum_not_two()
-    first = LivelockCertifier(protocol, cache=cache).analyze()
-    second = LivelockCertifier(protocol, cache=cache).analyze()
+    first = LivelockCertifier(protocol, executor=cached).analyze()
+    second = LivelockCertifier(protocol, executor=cached).analyze()
     assert second == first
     assert second.stats.cache_hits == 1
 
     audit_first = audit_theorems(samples=6, max_ring_size=3, seed=9,
-                                 cache=cache)
+                                 executor=cached)
     audit_second = audit_theorems(samples=6, max_ring_size=3, seed=9,
-                                  cache=cache)
+                                  executor=cached)
     assert audit_second.samples == audit_first.samples
     assert (audit_second.certificates_issued
             == audit_first.certificates_issued)
@@ -181,10 +223,10 @@ def test_cached_livelock_and_fuzz_reports_identical(tmp_path):
 
 
 def test_cached_verify_convergence_identical(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
+    cached = Executor(cache=ResultCache(tmp_path / "cache"))
     protocol = stabilizing_agreement()
-    first = verify_convergence(protocol, cache=cache)
-    second = verify_convergence(protocol, cache=cache)
+    first = verify_convergence(protocol, executor=cached)
+    second = verify_convergence(protocol, executor=cached)
     assert second == first
     assert second.stats.cache_hits == 1
     assert second.stats.work_items == 0
@@ -195,8 +237,9 @@ def test_parallel_cached_sweep_mixed_modes(tmp_path):
     pool, assembled in size order."""
     protocol = stabilizing_agreement()
     cache = ResultCache(tmp_path / "cache")
-    narrow = sweep_verify(protocol, up_to=5, cache=cache)
-    wide = sweep_verify(protocol, up_to=8, jobs=2, cache=cache)
+    narrow = sweep_verify(protocol, up_to=5, executor=Executor(cache=cache))
+    wide = sweep_verify(protocol, up_to=8,
+                        executor=Executor(jobs=2, cache=cache))
     assert wide.sizes == (2, 3, 4, 5, 6, 7, 8)
     assert wide.reports[:len(narrow.reports)] == narrow.reports
     assert wide.stats.cache_hits == len(narrow.reports)

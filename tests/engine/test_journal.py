@@ -198,6 +198,21 @@ class TestResumeGuards:
         with pytest.raises(JournalError, match="known"):
             RunJournal.resume(tmp_path, "missing")
 
+    def test_directory_without_meta_is_no_run(self, tmp_path):
+        # A live status directory (or any stray one) is not a journal,
+        # and must not pass the fingerprint check by having no meta.
+        (tmp_path / "status-only").mkdir()
+        (tmp_path / "status-only" / "status.json").write_text("{}")
+        with pytest.raises(JournalError, match="no run 'status-only'"):
+            RunJournal.resume(tmp_path, "status-only",
+                              fingerprint="a" * 64)
+
+    def test_unreadable_meta_is_refused(self, tmp_path):
+        _make_run(tmp_path, run_id="garbled", fingerprint="a" * 64)
+        (tmp_path / "garbled" / "meta.json").write_text("{not json")
+        with pytest.raises(JournalError, match="unreadable meta.json"):
+            RunJournal.resume(tmp_path, "garbled", fingerprint="b" * 64)
+
     def test_fingerprint_mismatch_is_refused(self, tmp_path):
         _make_run(tmp_path, run_id="pinned",
                   fingerprint="a" * 64)
@@ -210,6 +225,12 @@ class TestResumeGuards:
         resumed = RunJournal.resume(tmp_path, "pinned",
                                     fingerprint="a" * 64)
         assert len(resumed) == 3
+
+    def test_resume_keeps_the_requested_flush_interval(self, tmp_path):
+        _make_run(tmp_path, run_id="grouped")
+        resumed = RunJournal.resume(tmp_path, "grouped",
+                                    flush_interval=30.0)
+        assert resumed.flush_interval == 30.0
 
     def test_unpinned_journal_accepts_any_fingerprint(self, tmp_path):
         _make_run(tmp_path, run_id="legacy")  # no fingerprint in meta

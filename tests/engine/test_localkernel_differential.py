@@ -28,8 +28,9 @@ from repro.core.pseudolivelock import (
     SupportExplosion,
     pseudo_livelock_supports,
 )
-from repro.core.synthesis import Synthesizer
+from repro.core.synthesis import SynthesisOutcome, Synthesizer
 from repro.core.trail import ContiguousTrailSearcher
+from repro.engine import Executor
 from repro.engine.localkernel import LocalKernel
 from repro.engine.pool import parallelism_available
 from repro.graphs import (
@@ -248,6 +249,17 @@ def test_synthesis_kernel_matches_naive_on_bundled(factory):
     _assert_synthesis_identical(factory())
 
 
+def test_synthesis_rejects_rings_below_two_on_both_backends():
+    for backend in ("kernel", "naive"):
+        with pytest.raises(ValueError,
+                           match="max_ring_size must be at least 2"):
+            Synthesizer(three_coloring(), max_ring_size=1, backend=backend)
+    # Fig. 9: at the smallest ring every 3-coloring combination forms
+    # a contiguous trail, on either backend.
+    kernel = _assert_synthesis_identical(three_coloring(), max_ring_size=2)
+    assert kernel.outcome is SynthesisOutcome.FAILURE
+
+
 def _random_protocols():
     for seed in RANDOM_SEEDS:
         # Alternate the closure restriction so both sampler regimes
@@ -268,17 +280,17 @@ def test_synthesis_kernel_matches_naive_on_random(protocol):
 @pytest.mark.parametrize("factory", (sum_not_two, three_coloring),
                          ids=lambda f: f.__name__)
 def test_synthesis_deterministic_across_jobs(factory):
-    serial = Synthesizer(factory(), jobs=1).synthesize()
-    parallel = Synthesizer(factory(), jobs=2).synthesize()
+    serial = Synthesizer(factory()).synthesize()
+    parallel = Synthesizer(factory(),
+                           executor=Executor(jobs=2)).synthesize()
     assert _comparable(parallel) == _comparable(serial)
     # Without fork the synthesizer (no portable context) runs serially
     # by design, e.g. under REPRO_START_METHOD=spawn.
     assert (parallel.stats.parallel or not parallel.rejected
             or not parallelism_available())
-    sweep_serial = Synthesizer(factory(),
-                               jobs=1).evaluate_all_combinations()
-    sweep_parallel = Synthesizer(factory(),
-                                 jobs=2).evaluate_all_combinations()
+    sweep_serial = Synthesizer(factory()).evaluate_all_combinations()
+    sweep_parallel = Synthesizer(
+        factory(), executor=Executor(jobs=2)).evaluate_all_combinations()
     assert sweep_parallel == sweep_serial
 
 

@@ -21,6 +21,7 @@ import pytest
 from repro.engine import EngineStats
 from repro.engine.pool import parallelism_available
 from repro.engine.supervisor import (
+    Executor,
     SupervisorPolicy,
     supervise_work_items,
 )
@@ -28,6 +29,10 @@ from repro.obs import runtime as obs
 from repro.randomgen import ProtocolSampler, audit_theorems
 
 from tests.engine.conftest import square
+
+#: A supervised parallel run: without fork it must degrade to serial.
+SUPERVISED = Executor(jobs=2,
+                      policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
 
 
 @pytest.fixture
@@ -78,8 +83,7 @@ class TestSpawnOnlyFallback:
         protocol = _protocol()
         with obs.run("no-fork-sweep") as run:
             swept = sweep_verify(
-                protocol, up_to=4, jobs=2,
-                policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
+                protocol, up_to=4, executor=SUPERVISED)
         assert len(swept.reports) == 3  # sizes 2..4, all checked
         assert _fallback_events(run)
 
@@ -92,16 +96,14 @@ class TestSpawnOnlyFallback:
         protocol = stabilizing_sum_not_two()
         with obs.run("no-fork-verify") as run:
             report = verify_convergence(
-                protocol, max_ring_size=4, jobs=2,
-                policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
+                protocol, max_ring_size=4, executor=SUPERVISED)
         assert report.verdict is not None
         assert _fallback_events(run)
 
     def test_audit_theorems(self, spawn_only):
         with obs.run("no-fork-fuzz") as run:
             report = audit_theorems(
-                samples=3, max_ring_size=3, jobs=2,
-                policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
+                samples=3, max_ring_size=3, executor=SUPERVISED)
         assert report.clean
         assert report.samples == 3
         assert _fallback_events(run)
@@ -114,8 +116,7 @@ class TestSpawnOnlyFallback:
         # actually evaluates candidate combinations under supervision.
         with obs.run("no-fork-synthesize") as run:
             result = synthesize_convergence(
-                agreement(), max_ring_size=4, jobs=2,
-                policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
+                agreement(), max_ring_size=4, executor=SUPERVISED)
         assert result is not None
         assert _fallback_events(run)
 
@@ -126,14 +127,11 @@ class TestSpawnOnlyFallback:
         from repro.checker.sweep import sweep_verify
 
         protocol = _protocol()
-        policy = SupervisorPolicy(timeout=30.0, backoff=0.01)
-        reference = sweep_verify(protocol, up_to=4, jobs=2,
-                                 policy=policy)
+        reference = sweep_verify(protocol, up_to=4, executor=SUPERVISED)
         try:
             original = multiprocessing.get_all_start_methods
             multiprocessing.get_all_start_methods = lambda: ["spawn"]
-            degraded = sweep_verify(protocol, up_to=4, jobs=2,
-                                    policy=policy)
+            degraded = sweep_verify(protocol, up_to=4, executor=SUPERVISED)
         finally:
             multiprocessing.get_all_start_methods = original
         assert degraded.reports == reference.reports

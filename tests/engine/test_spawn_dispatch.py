@@ -20,7 +20,7 @@ import pytest
 
 import repro.engine.artifacts as ap
 from repro.checker.sweep import sweep_verify
-from repro.engine import EngineStats, SupervisorPolicy
+from repro.engine import EngineStats, Executor, SupervisorPolicy
 from repro.engine.pool import (
     START_METHOD_ENV,
     PortableContext,
@@ -51,7 +51,7 @@ def _warm_store(tmp_path) -> ap.ArtifactStore:
     """Publish the kernel and every per-K space with a serial sweep."""
     store = ap.ArtifactStore(tmp_path / "artifacts")
     with ap.plane(store):
-        sweep_verify(generalizable_matching(), up_to=UP_TO, jobs=1)
+        sweep_verify(generalizable_matching(), up_to=UP_TO)
     assert store.stats.stores > 0
     return store
 
@@ -66,7 +66,7 @@ def test_spawn_workers_attach_instead_of_compiling(tmp_path, monkeypatch):
     assert start_method() == "spawn"
     with ap.plane(store), obs.run("spawn-sweep") as run_ctx:
         result = sweep_verify(generalizable_matching(), up_to=UP_TO,
-                              jobs=2)
+                              executor=Executor(jobs=2))
     stats = result.stats
     assert stats.parallel, "spawn dispatch did not run"
     assert stats.scheduler_batches > 0
@@ -88,8 +88,9 @@ def test_batch_scheduler_runs_spawn_workers(tmp_path, monkeypatch):
     monkeypatch.setenv(START_METHOD_ENV, "spawn")
     with ap.plane(store), obs.run("spawn-batch") as run_ctx:
         result = sweep_verify(generalizable_matching(), up_to=UP_TO,
-                              jobs=2, policy=SupervisorPolicy(
-                                  timeout=60.0, backoff=0.01))
+                              executor=Executor(
+                                  jobs=2, policy=SupervisorPolicy(
+                                      timeout=60.0, backoff=0.01)))
     assert result.stats.scheduler_batches > 0
     # Spawned workers ship their spans back like forked ones: every
     # item subtree hangs under the dispatching scheduler.map span.
@@ -125,7 +126,7 @@ def test_verdicts_identical_across_methods_and_modes(tmp_path, monkeypatch):
                  if artifacts == "rw" else None)
         with ap.plane(store):
             result = sweep_verify(generalizable_matching(),
-                                  up_to=UP_TO, jobs=2)
+                                  up_to=UP_TO, executor=Executor(jobs=2))
         if store is not None:
             store.close()
         verdicts = _verdict_bytes(result)

@@ -19,6 +19,8 @@ from repro.engine.supervisor import (
     COMPUTED,
     FAULT_ENV,
     JOURNALED,
+    SERIAL,
+    Executor,
     FaultPlan,
     SupervisorError,
     SupervisorPolicy,
@@ -118,6 +120,90 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 # routing and serial mode
 # ----------------------------------------------------------------------
+class TestExecutor:
+    EXECUTION_PARAMETERS = {"jobs", "cache", "policy", "journal",
+                            "batch_size", "fault_plan"}
+
+    def test_entry_points_take_one_executor(self):
+        import inspect
+
+        from repro.checker.sweep import check_size, sweep_verify
+        from repro.core.convergence import verify_convergence
+        from repro.core.livelock import (
+            LivelockCertifier,
+            certify_livelock_freedom,
+        )
+        from repro.core.synthesis import Synthesizer, synthesize_convergence
+        from repro.engine.synthsearch import LatticeSearch
+        from repro.randomgen import audit_theorems
+
+        for entry in (verify_convergence, LivelockCertifier,
+                      certify_livelock_freedom, Synthesizer,
+                      synthesize_convergence, sweep_verify, check_size,
+                      audit_theorems, LatticeSearch):
+            parameters = set(inspect.signature(entry).parameters)
+            assert not parameters & self.EXECUTION_PARAMETERS, entry
+        # synthesize_convergence forwards its keywords to Synthesizer.
+        from repro.protocols import agreement
+
+        with pytest.raises(TypeError, match="jobs"):
+            synthesize_convergence(agreement(), jobs=2)
+
+    def test_serial_default(self):
+        assert SERIAL == Executor()
+        assert (SERIAL.jobs, SERIAL.cache, SERIAL.policy, SERIAL.journal,
+                SERIAL.plan) == (1, None, None, None, None)
+        assert not SERIAL.keyed
+
+    def test_options_need_keys_for_cache_and_journal(self, tmp_path):
+        executor = Executor(jobs=3, cache=ResultCache(),
+                            journal=RunJournal.create(tmp_path, run_id="r"))
+        assert executor.keyed
+        unkeyed = executor.options()
+        assert unkeyed["jobs"] == 3
+        assert "cache" not in unkeyed and "journal" not in unkeyed
+        keyed = executor.options(_keys(2))
+        assert keyed["cache"] is executor.cache
+        assert keyed["journal"] is executor.journal
+        assert supervise_work_items(square, range(2), **keyed) == [0, 1]
+        assert executor.journal.completed == {"k0": 0, "k1": 1}
+
+    def test_cached_report_stores_without_run_stats(self):
+        from dataclasses import dataclass, field
+
+        @dataclass(frozen=True)
+        class Report:
+            value: int
+            stats: EngineStats | None = field(default=None, compare=False)
+
+        executor = Executor(cache=ResultCache())
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return Report(7, stats=first)
+
+        first, second = EngineStats(), EngineStats()
+        cold = executor.cached_report(lambda: "k", first, compute)
+        warm = executor.cached_report(lambda: "k", second, compute)
+        assert cold == warm == Report(7) and len(calls) == 1
+        assert (first.cache_misses, second.cache_hits) == (1, 1)
+        assert warm.stats is second
+        assert executor.cache.get("k").stats is None
+        # Without a cache the key is never derived.
+        assert SERIAL.cached_report(None, first, compute) == Report(7)
+
+    def test_verify_stores_one_whole_report(self):
+        from repro.core.convergence import verify_convergence
+        from repro.protocols import stabilizing_agreement
+
+        cache = ResultCache()
+        verify_convergence(stabilizing_agreement(),
+                           executor=Executor(cache=cache))
+        # The inner livelock certificate writes no entry of its own.
+        assert cache.stats.stores == 1
+
+
 class TestDelegation:
     @needs_fork
     def test_unsupervised_parallel_call_uses_the_batch_scheduler(self):

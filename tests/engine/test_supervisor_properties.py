@@ -33,7 +33,7 @@ from repro.core.synthesis import Synthesizer
 from repro.engine.cache import ResultCache
 from repro.engine.journal import RunJournal
 from repro.engine.pool import parallelism_available
-from repro.engine.supervisor import FaultPlan, SupervisorPolicy
+from repro.engine.supervisor import Executor, FaultPlan, SupervisorPolicy
 from repro.randomgen import ProtocolSampler
 
 pytestmark = pytest.mark.skipif(not parallelism_available(),
@@ -66,7 +66,7 @@ def _sample(mode: str, seed: int):
 
 def _reference(protocol):
     """The trusted result: serial, unsupervised, naive backend."""
-    return sweep_verify(protocol, up_to=UP_TO, backend="naive", jobs=1)
+    return sweep_verify(protocol, up_to=UP_TO, backend="naive")
 
 
 def _supervised(protocol, mode: str, tmp_path, cache=None):
@@ -76,17 +76,16 @@ def _supervised(protocol, mode: str, tmp_path, cache=None):
     policy = SupervisorPolicy(retries=2, backoff=0.01)
     if mode in ("crash", "timeout"):
         if mode == "crash":
-            result = sweep_verify(
-                protocol, up_to=UP_TO, jobs=2, policy=policy,
-                cache=cache,
-                fault_plan=FaultPlan(crash_items=frozenset({0, 2})))
+            result = sweep_verify(protocol, up_to=UP_TO, executor=Executor(
+                jobs=2, policy=policy, cache=cache,
+                plan=FaultPlan(crash_items=frozenset({0, 2}))))
         else:
-            result = sweep_verify(
-                protocol, up_to=UP_TO, jobs=2, cache=cache,
+            result = sweep_verify(protocol, up_to=UP_TO, executor=Executor(
+                jobs=2, cache=cache,
                 policy=SupervisorPolicy(timeout=0.5, retries=2,
                                         backoff=0.01),
-                fault_plan=FaultPlan(hang_items=frozenset({1}),
-                                     hang_seconds=30.0))
+                plan=FaultPlan(hang_items=frozenset({1}),
+                               hang_seconds=30.0)))
         assert result.stats.scheduler_batches > 0, \
             "the injected fault did not run on the batch scheduler"
         return result
@@ -96,17 +95,16 @@ def _supervised(protocol, mode: str, tmp_path, cache=None):
         # when the parent "dies" by stack unwind.
         journal = RunJournal.create(tmp_path, run_id="prop")
         with pytest.raises(ParentDown):
-            sweep_verify(
-                protocol, up_to=UP_TO, jobs=1, policy=policy,
-                journal=journal,
-                fault_plan=FaultPlan(
+            sweep_verify(protocol, up_to=UP_TO, executor=Executor(
+                policy=policy, journal=journal,
+                plan=FaultPlan(
                     die_after_checkpoints=1,
                     die=lambda status: (_ for _ in ()).throw(
-                        ParentDown(status))))
+                        ParentDown(status)))))
         rerun = RunJournal.resume(tmp_path, "prop")
         assert len(rerun) >= 1, "died before the first checkpoint"
-        result = sweep_verify(protocol, up_to=UP_TO, jobs=2,
-                              policy=policy, journal=rerun, cache=cache)
+        result = sweep_verify(protocol, up_to=UP_TO, executor=Executor(
+            jobs=2, policy=policy, journal=rerun, cache=cache))
         # The resumed run answers every journaled item from the journal
         # (never re-executes it) and runs exactly the rest.
         assert result.stats.supervisor_resumed == \
@@ -149,7 +147,7 @@ def shrink_failing_protocol(protocol, still_fails):
 
 def _assert_no_divergence(protocol, mode, tmp_path):
     reference = _reference(protocol)
-    kernel = sweep_verify(protocol, up_to=UP_TO, backend="auto", jobs=1)
+    kernel = sweep_verify(protocol, up_to=UP_TO, backend="auto")
     assert kernel.reports == reference.reports, \
         "kernel backend diverged from the naive reference"
     cache = ResultCache()
@@ -157,7 +155,8 @@ def _assert_no_divergence(protocol, mode, tmp_path):
     if supervised.reports == reference.reports:
         # A second pass over the shared cache answers every size from
         # it: identical reports, nothing computed.
-        warm = sweep_verify(protocol, up_to=UP_TO, jobs=2, cache=cache)
+        warm = sweep_verify(protocol, up_to=UP_TO,
+                            executor=Executor(jobs=2, cache=cache))
         assert warm.reports == supervised.reports
         assert warm.stats.work_items == 0
         return
@@ -235,7 +234,7 @@ def _synth_unfaulted(protocol):
     speculative batches judge, so every faulted ``jobs=2`` run below
     must reproduce this run's split exactly."""
     synthesizer = Synthesizer(protocol, max_ring_size=SYNTH_MAX_RING,
-                              search="lattice", jobs=2)
+                              search="lattice", executor=Executor(jobs=2))
     comparable = _synth_comparable(synthesizer.synthesize())
     stats = synthesizer.stats
     return comparable, (stats.combos_pruned, stats.full_evaluations)
@@ -246,26 +245,28 @@ def _synth_supervised(protocol, mode: str, tmp_path, cache=None):
     if mode == "crash":
         synthesizer = Synthesizer(
             protocol, max_ring_size=SYNTH_MAX_RING, search="lattice",
-            jobs=2, policy=policy, cache=cache,
-            fault_plan=FaultPlan(crash_items=frozenset({0, 2})))
+            executor=Executor(
+                jobs=2, policy=policy, cache=cache,
+                plan=FaultPlan(crash_items=frozenset({0, 2}))))
     elif mode == "timeout":
         synthesizer = Synthesizer(
             protocol, max_ring_size=SYNTH_MAX_RING, search="lattice",
-            jobs=2, cache=cache,
-            policy=SupervisorPolicy(timeout=0.5, retries=2,
-                                    backoff=0.01),
-            fault_plan=FaultPlan(hang_items=frozenset({1}),
-                                 hang_seconds=30.0))
+            executor=Executor(
+                jobs=2, cache=cache,
+                policy=SupervisorPolicy(timeout=0.5, retries=2,
+                                        backoff=0.01),
+                plan=FaultPlan(hang_items=frozenset({1}),
+                               hang_seconds=30.0)))
     elif mode == "kill-resume":
         journal = RunJournal.create(tmp_path, run_id="synthprop")
         dying = Synthesizer(
             protocol, max_ring_size=SYNTH_MAX_RING,
-            search="lattice", jobs=1, policy=policy,
-            journal=journal, cache=cache,
-            fault_plan=FaultPlan(
-                die_after_checkpoints=1,
-                die=lambda status: (_ for _ in ()).throw(
-                    ParentDown(status))))
+            search="lattice", executor=Executor(
+                policy=policy, journal=journal, cache=cache,
+                plan=FaultPlan(
+                    die_after_checkpoints=1,
+                    die=lambda status: (_ for _ in ()).throw(
+                        ParentDown(status)))))
         try:
             result = dying.synthesize()
         except ParentDown:
@@ -282,7 +283,8 @@ def _synth_supervised(protocol, mode: str, tmp_path, cache=None):
         assert len(rerun) >= 1, "died before the first unit checkpoint"
         synthesizer = Synthesizer(
             protocol, max_ring_size=SYNTH_MAX_RING, search="lattice",
-            jobs=2, policy=policy, journal=rerun, cache=cache)
+            executor=Executor(jobs=2, policy=policy, journal=rerun,
+                              cache=cache))
         result = synthesizer.synthesize()
         # Journaled units are answered from the journal — their
         # verdicts AND counter deltas replay instead of re-running, so
@@ -315,7 +317,8 @@ def _assert_lattice_fault_free(seed: int, mode: str, tmp_path) -> None:
     # A second pass over the shared cache: identical result, no
     # combination judged again.
     warm = Synthesizer(protocol, max_ring_size=SYNTH_MAX_RING,
-                       search="lattice", jobs=2, cache=cache)
+                       search="lattice",
+                       executor=Executor(jobs=2, cache=cache))
     assert _synth_comparable(warm.synthesize()) == reference
     assert warm.stats.work_items == 0
 

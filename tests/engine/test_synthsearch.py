@@ -27,6 +27,7 @@ import json
 import pytest
 
 from repro.core.synthesis import Synthesizer
+from repro.engine import Executor
 from repro.engine.pool import parallelism_available
 from repro.engine.synthsearch import (
     EXPLOSION_REASON,
@@ -181,7 +182,8 @@ def test_counter_split_covers_every_combination():
                     reason="needs the fork start method")
 def test_verdicts_and_counters_invariant_across_jobs_and_schedules():
     def run(jobs):
-        synthesizer = Synthesizer(three_coloring(), jobs=jobs,
+        synthesizer = Synthesizer(three_coloring(),
+                                  executor=Executor(jobs=jobs),
                                   search="lattice")
         result = synthesizer.synthesize()
         stats = synthesizer.stats

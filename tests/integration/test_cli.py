@@ -88,7 +88,6 @@ def test_parser_requires_subcommand():
     ["sweep", "agreement-ss", "--up-to", "4", "--timeout", "-1"],
     ["sweep", "agreement-ss", "--up-to", "4", "--timeout", "soon"],
     ["sweep", "agreement-ss", "--up-to", "4", "--retries", "-1"],
-    ["sweep", "agreement-ss", "--up-to", "4", "--batch-size", "0"],
     ["sweep", "agreement-ss", "--up-to", "4", "--jobs", "0"],
     ["sweep", "agreement-ss", "--up-to", "4", "--jobs", "-3"],
     ["sweep", "agreement-ss", "--up-to", "4", "--cache-limit", "-1"],
@@ -96,7 +95,10 @@ def test_parser_requires_subcommand():
     ["fuzz", "--samples", "0"],
     ["check", "agreement-ss", "-K", "4", "--jobs", "0"],
     ["verify", "agreement-ss", "--timeout", "0"],
-    ["synthesize", "agreement", "--batch-size", "-2"],
+    ["verify", "agreement-ss", "--max-ring-size", "0"],
+    ["hybrid", "agreement-ss", "--max-ring-size", "1"],
+    ["synthesize", "3-coloring", "--max-ring-size", "1"],
+    ["fuzz", "--max-ring-size", "-4"],
     ["simulate", "agreement-ss", "-K", "4", "--samples", "0"],
     ["cache", "--cache-limit", "-5"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
@@ -110,3 +112,34 @@ def test_bad_numeric_flag_is_a_usage_error(argv, capsys):
     (message,) = [line for line in err.splitlines()
                   if line.startswith("repro ")]
     assert f"error: argument {flag}" in message
+
+
+def test_batch_size_flag_is_gone(capsys):
+    # Batch sizes come from measured task durations; nothing pins them.
+    with pytest.raises(SystemExit) as exited:
+        main(["sweep", "agreement-ss", "--up-to", "4", "--batch-size", "2"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --batch-size 2" in capsys.readouterr().err
+
+
+def test_library_error_is_a_one_line_message(capsys):
+    # A degenerate ring size is a ProtocolDefinitionError, not a crash.
+    assert main(["check", "agreement-ss", "-K", "1", "--no-live",
+                 "--no-ledger"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "error: ring size 1 smaller than the read window (2); the "
+        "instance would be degenerate"]
+
+
+@pytest.mark.parametrize("live", ["--live", "--no-live"])
+def test_resume_of_an_unknown_run_is_refused(live, tmp_path, capsys):
+    # The live plane names its status directory after the resume id;
+    # that directory must not pass for the run being resumed.
+    assert main(["sweep", "agreement-ss", "--up-to", "4", "--resume",
+                 "nope", "--cache-dir", str(tmp_path), live]) == 2
+    captured = capsys.readouterr()
+    assert "error: no run 'nope'" in captured.err
+    assert "resuming run" not in captured.err
+    assert "per-size sweep" not in captured.out

@@ -8,6 +8,7 @@ import pytest
 
 from repro.checker.sweep import sweep_verify
 from repro.cli import main
+from repro.engine import Executor
 from repro.obs import live, runtime as obs, validate
 from repro.protocols import sum_not_two
 
@@ -245,11 +246,12 @@ def _verdict_bytes(result) -> bytes:
 @pytest.mark.parametrize("jobs", [1, 2], ids=["auto-1", "batch-2"])
 def test_sweep_verdicts_identical_live_on_vs_off(tmp_path, jobs):
     protocol = sum_not_two()
-    plain = sweep_verify(protocol, up_to=6, jobs=jobs)
+    plain = sweep_verify(protocol, up_to=6, executor=Executor(jobs=jobs))
     run = live.LiveRun(tmp_path, "diff", interval=0.0)
     live.activate(run)
     try:
-        observed = sweep_verify(protocol, up_to=6, jobs=jobs)
+        observed = sweep_verify(protocol, up_to=6,
+                                executor=Executor(jobs=jobs))
     finally:
         run.finish()
         live.deactivate(run)

@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from repro.engine import EngineStats
+from repro.engine import EngineStats, Executor
 from repro.engine.pool import parallelism_available
 from repro.engine.supervisor import supervise_work_items
 from repro.obs import runtime as obs
@@ -164,9 +164,10 @@ def test_stats_to_dict_is_json_ready():
 # ----------------------------------------------------------------------
 def test_sweep_verdicts_byte_identical_with_tracing_on():
     protocol = stabilizing_sum_not_two()
-    plain = sweep_verify(protocol, up_to=6, jobs=2)
+    plain = sweep_verify(protocol, up_to=6, executor=Executor(jobs=2))
     with obs.run("traced-sweep"):
-        traced = sweep_verify(protocol, up_to=6, jobs=2)
+        traced = sweep_verify(protocol, up_to=6,
+                              executor=Executor(jobs=2))
 
     def verdict_bytes(result):
         # stats carry wall-clock timings, which differ run to run; the
