@@ -21,11 +21,10 @@ from repro.obs import runtime as obs
 def is_closed(graph: StateGraph) -> bool:
     """Whether ``I(K)`` is closed in the protocol (no transition leaves
     the invariant)."""
-    for source, targets in enumerate(graph.successors):
-        if graph.in_invariant[source]:
-            if any(not graph.in_invariant[t] for t in targets):
-                return False
-    return True
+    off, flat, invariant = graph.succ_off, graph.succ_flat, graph.invariant
+    return all(invariant[target]
+               for source in graph.invariant_indices
+               for target in flat[off[source]:off[source + 1]])
 
 
 def strongly_converges(graph: StateGraph) -> bool:

@@ -13,11 +13,11 @@ def illegitimate_deadlocks(graph: StateGraph) -> list:
     member.
     """
     return [graph.states[i] for i in graph.deadlock_indices()
-            if not graph.in_invariant[i]]
+            if not graph.invariant[i]]
 
 
 def legitimate_deadlocks(graph: StateGraph) -> list:
     """Deadlocks inside ``I(K)`` (fixpoints — fine for *silent* protocols
     such as matching or coloring)."""
     return [graph.states[i] for i in graph.deadlock_indices()
-            if graph.in_invariant[i]]
+            if graph.invariant[i]]

@@ -6,30 +6,33 @@ RingInstance` interface (``states()``, ``successors(state)``,
 :mod:`repro.protocols.token_ring` plugs in the same way despite its
 distinguished root process.
 
-Two backends build the graph:
+Every graph is one CSR adjacency over state indices (``succ_off`` /
+``succ_flat``, flat integer buffers) plus one invariant byte per state
+(``invariant``).  Two backends fill them:
 
 * ``"kernel"`` — the compiled bit-packed engine of
   :mod:`repro.engine.kernel`: guards compile once into a flat local
-  transition table, global states are base-``|C|`` packed integers,
-  adjacency and invariant flags live in flat arrays.  Selected
-  automatically for symmetric :class:`RingInstance` objects; supports
-  the opt-in rotation-symmetry quotient (``symmetry=True``).
+  transition table and global states are base-``|C|`` packed integers,
+  decoded to tuples only on demand.  Selected automatically for
+  symmetric :class:`RingInstance` objects; supports the opt-in
+  rotation-symmetry quotient (``symmetry=True``).
 * ``"naive"`` — the original pure-Python interpreter over tuple
-  states.  The reference implementation (the differential suite in
-  ``tests/engine/`` asserts the kernel reproduces it state for state)
-  and the only backend for duck-typed instances such as the token ring.
+  states, packed into the same arrays.  The reference implementation
+  (the differential suite in ``tests/engine/`` asserts the kernel
+  reproduces it state for state) and the only backend for duck-typed
+  instances such as the token ring.
 
-Both populate the same public surface: ``states``, ``index``,
-``successors``, ``in_invariant``, ``invariant_indices``,
-``deadlock_indices``, ``predecessors_map``, ``restricted_digraph``,
-``distances_to_invariant``.
+Public surface: ``succ_off``, ``succ_flat``, ``invariant``, ``states``,
+``index``, ``successors``, ``in_invariant``, ``invariant_indices``,
+``deadlock_indices``, ``outside_indices``, ``outside_successors``,
+``predecessors_map``, ``distances_to_invariant``.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
-
-from repro.graphs import Digraph
+from array import array
+from functools import cached_property
+from typing import Hashable
 
 BACKENDS = ("auto", "kernel", "naive")
 
@@ -76,127 +79,99 @@ class StateGraph:
             raise ValueError("the rotation-symmetry quotient requires "
                              "the kernel backend")
         self.symmetry = bool(symmetry)
-        self._packed = None
-        self._states: list[Hashable] | None = None
-        self._index: dict[Hashable, int] | None = None
-        self._successors: list[list[int]] | None = None
-        self._in_invariant: list[bool] | None = None
-        self._predecessors: list[list[int]] | None = None
         self.kernel_stats = None
+        self._predecessors: list[list[int]] | None = None
         if use_kernel:
             self.backend = "kernel"
-            self._packed = build_space(instance, symmetry=symmetry)
-            self.kernel_stats = self._packed.stats
+            space = build_space(instance, symmetry=symmetry)
+            self.kernel_stats = space.stats
+            self._decode = space.decode  # backs the lazy ``states``
+            self.succ_off = space.succ_off
+            self.succ_flat = space.succ_flat
+            self.invariant = space.invariant
         else:
             self.backend = "naive"
             states = list(instance.states())
             index = {state: i for i, state in enumerate(states)}
-            self._states = states
-            self._index = index
-            self._successors = [
-                [index[t] for t in instance.successors(state)]
-                for state in states]
-            self._in_invariant = [bool(instance.invariant_holds(state))
-                                  for state in states]
+            succ_off = array("q", [0])
+            succ_flat = array("q")
+            invariant = bytearray(len(states))
+            for i, state in enumerate(states):
+                succ_flat.extend(
+                    [index[t] for t in instance.successors(state)])
+                succ_off.append(len(succ_flat))
+                invariant[i] = bool(instance.invariant_holds(state))
+            self.states, self.index = states, index
+            self.succ_off, self.succ_flat = succ_off, succ_flat
+            self.invariant = invariant
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        if self._packed is not None:
-            return len(self._packed)
-        return len(self._states)
+        return len(self.invariant)
 
-    @property
+    @cached_property
     def states(self) -> list[Hashable]:
         """All states (quotient: orbit representatives), by index.
 
         Kernel-backed graphs decode lazily: verdict-only analyses never
         touch tuple states at all.
         """
-        if self._states is None:
-            self._states = [self._packed.decode(i)
-                            for i in range(len(self._packed))]
-        return self._states
+        return [self._decode(i) for i in range(len(self))]
 
-    @property
+    @cached_property
     def index(self) -> dict[Hashable, int]:
         """State -> index (quotient: representatives only)."""
-        if self._index is None:
-            self._index = {state: i
-                           for i, state in enumerate(self.states)}
-        return self._index
+        return {state: i for i, state in enumerate(self.states)}
 
-    @property
+    @cached_property
     def successors(self) -> list[list[int]]:
-        """Per-state successor index lists."""
-        if self._successors is None:
-            self._successors = self._packed.successor_lists()
-        return self._successors
+        """Per-state successor index lists (the CSR rows, materialized)."""
+        off, flat = self.succ_off, self.succ_flat
+        return [list(flat[off[i]:off[i + 1]]) for i in range(len(self))]
 
-    @property
+    @cached_property
     def in_invariant(self) -> list[bool]:
         """Per-state ``I(K)`` membership flags."""
-        if self._in_invariant is None:
-            self._in_invariant = [bool(b)
-                                  for b in self._packed.invariant]
-        return self._in_invariant
+        return [bool(member) for member in self.invariant]
 
     @property
     def invariant_indices(self) -> list[int]:
         """Indices of states inside ``I(K)``."""
-        if self._packed is not None:
-            return [i for i, member in enumerate(self._packed.invariant)
-                    if member]
-        return [i for i, member in enumerate(self.in_invariant)
-                if member]
+        return [i for i, member in enumerate(self.invariant) if member]
 
     def deadlock_indices(self) -> list[int]:
         """Indices of states with no outgoing transition."""
-        if self._packed is not None:
-            off = self._packed.succ_off
-            return [i for i in range(len(self._packed))
-                    if off[i] == off[i + 1]]
-        return [i for i, succ in enumerate(self.successors) if not succ]
+        off = self.succ_off
+        return [i for i in range(len(self)) if off[i] == off[i + 1]]
+
+    def outside_indices(self) -> list[int]:
+        """Indices of states outside ``I(K)``, ascending."""
+        return [i for i, member in enumerate(self.invariant) if not member]
+
+    def outside_successors(self, node: int) -> list[int]:
+        """Successors of *node* outside ``I(K)``, in CSR order — the
+        adjacency of ``Δ_p | ¬I`` the livelock and ranking analyses
+        walk."""
+        invariant = self.invariant
+        return [target for target in
+                self.succ_flat[self.succ_off[node]:self.succ_off[node + 1]]
+                if not invariant[target]]
 
     # ------------------------------------------------------------------
     def predecessors_map(self) -> list[list[int]]:
         """Reverse adjacency (computed once, then cached).
 
-        Both :meth:`distances_to_invariant` and the ranking extractor
-        call this; callers must not mutate the returned lists.
+        :meth:`distances_to_invariant` walks it; callers must not
+        mutate the returned lists.
         """
-        if self._predecessors is not None:
-            return self._predecessors
-        reverse: list[list[int]] = [[] for _ in range(len(self))]
-        if self._packed is not None:
-            off, flat = self._packed.succ_off, self._packed.succ_flat
-            for source in range(len(self._packed)):
+        if self._predecessors is None:
+            off, flat = self.succ_off, self.succ_flat
+            reverse: list[list[int]] = [[] for _ in range(len(self))]
+            for source in range(len(self)):
                 for position in range(off[source], off[source + 1]):
                     reverse[flat[position]].append(source)
-        else:
-            for source, targets in enumerate(self.successors):
-                for target in targets:
-                    reverse[target].append(source)
-        self._predecessors = reverse
-        return reverse
-
-    def restricted_digraph(self, keep: Iterable[int]) -> Digraph:
-        """The transition :class:`Digraph` induced over state indices
-        *keep* (used for livelock detection on ``Δ_p | ¬I``)."""
-        keep_set = set(keep)
-        graph = Digraph(nodes=keep_set)
-        if self._packed is not None:
-            off, flat = self._packed.succ_off, self._packed.succ_flat
-            for source in keep_set:
-                for position in range(off[source], off[source + 1]):
-                    target = flat[position]
-                    if target in keep_set:
-                        graph.add_edge(source, target)
-            return graph
-        for source in keep_set:
-            for target in self.successors[source]:
-                if target in keep_set:
-                    graph.add_edge(source, target)
-        return graph
+            self._predecessors = reverse
+        return self._predecessors
 
     def distances_to_invariant(self) -> list[int | None]:
         """BFS distance (in transitions) from each state to ``I(K)``.

@@ -57,7 +57,7 @@ import weakref
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import repro.engine.artifacts as artifact_plane
 from repro.obs import runtime as obs
@@ -353,14 +353,6 @@ class PackedSpace:
         for cell in state:
             code = code * self.cell_count + cell_index[cell]
         return code
-
-    def successor_lists(self) -> list[list[int]]:
-        """Materialize the CSR adjacency as per-state lists."""
-        off, flat = self.succ_off, self.succ_flat
-        return [list(flat[off[i]:off[i + 1]]) for i in range(len(self))]
-
-    def iter_states(self) -> Iterator[tuple]:
-        return (self.decode(i) for i in range(len(self)))
 
 
 def build_full(instance: "RingInstance") -> PackedSpace:

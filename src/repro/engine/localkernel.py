@@ -62,6 +62,7 @@ from repro.core.trail import (
     TrailWitness,
     round_pattern,
 )
+from repro.graphs.scc import bit_indices, tarjan
 from repro.protocol.actions import LocalTransition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -326,8 +327,8 @@ class LocalKernel:
         # Every state on a path back to the root is itself reachable
         # from the root, so the backward sweep stays inside *forward*.
         pred = [0] * self.n
-        for source in _mask_indices(forward):
-            for target in _mask_indices(succ[source] & forward):
+        for source in bit_indices(forward):
+            for target in bit_indices(succ[source] & forward):
                 pred[target] |= 1 << source
         component = _reach(root, pred)
         return bool(required & ~component) \
@@ -369,56 +370,11 @@ class LocalKernel:
         roots = [phase * n + state
                  for phase in sk.t_phases for state in sources]
 
-        index_of: dict[int, int] = {}
-        lowlink: dict[int, int] = {}
-        on_stack: set[int] = set()
-        stack: list[int] = []
-        counter = 0
-        for root in roots:
-            if root in index_of:
-                continue
-            work = [[root, succ_mask(root)]]
-            index_of[root] = lowlink[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                frame = work[-1]
-                node = frame[0]
-                remaining = frame[1]
-                advanced = False
-                while remaining:
-                    bit = remaining & -remaining
-                    remaining &= remaining - 1
-                    succ = bit.bit_length() - 1
-                    if succ not in index_of:
-                        frame[1] = remaining
-                        index_of[succ] = lowlink[succ] = counter
-                        counter += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append([succ, succ_mask(succ)])
-                        advanced = True
-                        break
-                    if succ in on_stack and index_of[succ] < lowlink[node]:
-                        lowlink[node] = index_of[succ]
-                if advanced:
-                    continue
-                work.pop()
-                if work and lowlink[node] < lowlink[work[-1][0]]:
-                    lowlink[work[-1][0]] = lowlink[node]
-                if lowlink[node] != index_of[node]:
-                    continue
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                hit = self._match(sk, component, arcs, succ_mask)
-                if hit is not None:
-                    return hit
+        for component in tarjan(
+                roots, lambda node: bit_indices(succ_mask(node))):
+            hit = self._match(sk, component, arcs, succ_mask)
+            if hit is not None:
+                return hit
         return None
 
     def _match(self, sk: TrailSkeleton, component: list[int],
@@ -443,7 +399,7 @@ class LocalKernel:
         illegit = state_mask & self.illegit_mask
         if not illegit:
             return None
-        return (_mask_indices(state_mask), _mask_indices(illegit))
+        return tuple(bit_indices(state_mask)), tuple(bit_indices(illegit))
 
 
 def _reach(root: int, succ: list[int]) -> int:
@@ -451,20 +407,11 @@ def _reach(root: int, succ: list[int]) -> int:
     reached = frontier = root
     while frontier:
         step = 0
-        for state in _mask_indices(frontier):
+        for state in bit_indices(frontier):
             step |= succ[state]
         frontier = step & ~reached
         reached |= frontier
     return reached
-
-
-def _mask_indices(mask: int) -> tuple[int, ...]:
-    indices = []
-    while mask:
-        bit = mask & -mask
-        mask &= mask - 1
-        indices.append(bit.bit_length() - 1)
-    return tuple(indices)
 
 
 def _attach_skeleton(protocol: "RingProtocol",

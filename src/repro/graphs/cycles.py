@@ -10,21 +10,15 @@ Used for:
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator
+from collections.abc import Callable, Hashable, Iterable, Iterator
 
 from repro.graphs.digraph import Digraph
-from repro.graphs.scc import strongly_connected_components
+from repro.graphs.scc import cyclic_components, strongly_connected_components
 
 
 def has_cycle(graph: Digraph) -> bool:
     """Whether *graph* contains any directed cycle (self-loops count)."""
-    for component in strongly_connected_components(graph):
-        if len(component) > 1:
-            return True
-        node = component[0]
-        if graph.has_edge(node, node):
-            return True
-    return False
+    return bool(cyclic_components(graph))
 
 
 def simple_cycles(graph: Digraph,
@@ -179,17 +173,22 @@ def _product(choices: list[list[tuple]]) -> Iterator[list[tuple]]:
             return
 
 
-def find_cycle_through(graph: Digraph, node: Hashable,
+def find_cycle_through(graph: Digraph | Callable[[Hashable],
+                                                 Iterable[Hashable]],
+                       node: Hashable,
                        max_length: int | None = None) -> list[Hashable] | None:
     """A shortest directed cycle through *node*, or ``None``.
 
-    Returned in the same node-list convention as :func:`simple_cycles`.
-    Runs a BFS from *node* back to itself.
+    *graph* is a :class:`Digraph` or a ``successors(node)`` callable (the
+    global checker passes one over its CSR arrays).  Returned in the
+    same node-list convention as :func:`simple_cycles`.  Runs a BFS from
+    *node* back to itself, scanning successors in the order given, so
+    ties between equally short cycles break the same way every run.
     """
-    if node not in graph:
-        return None
-    if graph.has_edge(node, node):
-        return [node]
+    if isinstance(graph, Digraph):
+        if node not in graph:
+            return None
+        graph = graph.successors
     parents: dict[Hashable, Hashable] = {}
     frontier = [node]
     depth = 0
@@ -200,7 +199,7 @@ def find_cycle_through(graph: Digraph, node: Hashable,
             return None
         next_frontier = []
         for current in frontier:
-            for succ in graph.successors(current):
+            for succ in graph(current):
                 if succ == node:
                     path = [current]
                     while path[-1] != node:

@@ -28,8 +28,13 @@ from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
+from repro.graphs.cycles import find_cycle_through
 from repro.graphs.digraph import Digraph
-from repro.graphs.scc import cyclic_components, masked_cyclic_mask
+from repro.graphs.scc import (
+    bit_indices,
+    cyclic_components,
+    masked_cyclic_mask,
+)
 from repro.obs import runtime as obs
 
 
@@ -154,10 +159,10 @@ def minimal_feedback_vertex_sets(
         ordered = sorted(
             solutions,
             key=lambda mask: tuple(sorted(pool_position[i]
-                                          for i in _bits(mask))))
+                                          for i in bit_indices(mask))))
         for mask in ordered:
             found_masks.append(mask)
-            yield frozenset(masked.nodes[i] for i in _bits(mask))
+            yield frozenset(masked.nodes[i] for i in bit_indices(mask))
             emitted += 1
             if max_sets is not None and emitted >= max_sets:
                 return
@@ -236,39 +241,12 @@ def _bad_cycle(masked: _MaskedGraph, alive: int,
     region = alive & cyclic
     anchor_bit = region & masked.bad_mask
     anchor = (anchor_bit & -anchor_bit).bit_length() - 1
-    if (masked.succ[anchor] >> anchor) & 1:
-        return [anchor]
-    # BFS back to the anchor; the shortest closed walk is a simple cycle.
-    parent: dict[int, int] = {}
-    frontier = [anchor]
-    while frontier:
-        next_frontier = []
-        for node in frontier:
-            successors = masked.succ[node] & region
-            while successors:
-                bit = successors & -successors
-                successors &= successors - 1
-                succ = bit.bit_length() - 1
-                if succ == anchor:
-                    cycle = [node]
-                    while node != anchor:
-                        node = parent[node]
-                        cycle.append(node)
-                    return cycle
-                if succ not in parent and succ != anchor:
-                    parent[succ] = node
-                    next_frontier.append(succ)
-        frontier = next_frontier
-    raise AssertionError("anchor lies on a cycle by construction")
-
-
-def _bits(mask: int) -> list[int]:
-    indices = []
-    while mask:
-        bit = mask & -mask
-        mask &= mask - 1
-        indices.append(bit.bit_length() - 1)
-    return indices
+    # The shortest closed walk back to the anchor is a simple cycle;
+    # the branching order walks it backwards from the anchor's
+    # predecessor.
+    cycle = find_cycle_through(
+        lambda vertex: bit_indices(masked.succ[vertex] & region), anchor)
+    return cycle[::-1]
 
 
 def _popcount(mask: int) -> int:

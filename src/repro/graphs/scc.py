@@ -4,71 +4,77 @@ The deadlock-freedom decision procedure (Theorem 4.2) reduces to: *does any
 SCC of the deadlock-induced RCG both contain an illegitimate local state and
 contain a cycle?*  An SCC contains a cycle iff it has more than one node or
 its single node carries a self-loop.
+
+:func:`tarjan` is the one implementation; every SCC pass in the library —
+over a :class:`Digraph`, a bit-packed adjacency, the global checker's CSR
+arrays or the local kernel's implicit product graph — is a loop over it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable, Iterable, Iterator
 
 from repro.graphs.digraph import Digraph
 
 
-def strongly_connected_components(graph: Digraph) -> list[list[Hashable]]:
-    """Return the SCCs of *graph* as lists of nodes.
+def tarjan(roots: Iterable[Hashable],
+           successors: Callable[[Hashable], Iterable[Hashable]],
+           ) -> Iterator[list[Hashable]]:
+    """Yield the SCCs reachable from *roots*, as lists of nodes.
 
-    Components are returned in reverse topological order (every edge between
-    components points from a later component to an earlier one), which is
-    the order Tarjan's algorithm naturally emits.
+    Roots are explored in the given order and each node's successors in
+    the order ``successors(node)`` returns them.  Components are yielded
+    as Tarjan's algorithm completes them — reverse topological order
+    (every edge between components points from a later component to an
+    earlier one) — so a caller may stop at the first component it wants.
 
-    The implementation is iterative so that local state spaces with long
-    chains do not overflow the Python recursion limit.
+    The implementation is iterative so that long chains do not overflow
+    the Python recursion limit.
     """
     index_of: dict[Hashable, int] = {}
     lowlink: dict[Hashable, int] = {}
     on_stack: set[Hashable] = set()
     stack: list[Hashable] = []
-    components: list[list[Hashable]] = []
-    counter = 0
 
-    for root in graph.nodes:
+    for root in roots:
         if root in index_of:
             continue
-        # Each frame is (node, iterator over successors).
-        work = [(root, iter(list(graph.successors(root))))]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
+        index_of[root] = lowlink[root] = len(index_of)
         stack.append(root)
         on_stack.add(root)
+        # Each frame is (node, iterator over its remaining successors).
+        work = [(root, iter(successors(root)))]
         while work:
-            node, successors = work[-1]
-            advanced = False
-            for succ in successors:
+            node, pending = work[-1]
+            for succ in pending:
                 if succ not in index_of:
-                    index_of[succ] = lowlink[succ] = counter
-                    counter += 1
+                    index_of[succ] = lowlink[succ] = len(index_of)
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(list(graph.successors(succ)))))
-                    advanced = True
+                    work.append((succ, iter(successors(succ))))
                     break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
+                if succ in on_stack and index_of[succ] < lowlink[node]:
+                    lowlink[node] = index_of[succ]
+            else:
+                work.pop()
+                low = lowlink[node]
+                if work and low < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = low
+                if low == index_of[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    yield component
+
+
+def strongly_connected_components(graph: Digraph) -> list[list[Hashable]]:
+    """Return the SCCs of *graph* as lists of nodes, in :func:`tarjan`'s
+    reverse topological order (roots in node insertion order)."""
+    return list(tarjan(graph.nodes, graph.successors))
 
 
 def condensation(graph: Digraph) -> tuple[Digraph, dict[Hashable, int]]:
@@ -90,6 +96,16 @@ def condensation(graph: Digraph) -> tuple[Digraph, dict[Hashable, int]]:
     return dag, membership
 
 
+def bit_indices(mask: int) -> list[int]:
+    """The set bits of *mask*, ascending."""
+    indices = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        indices.append(bit.bit_length() - 1)
+    return indices
+
+
 def masked_cyclic_mask(succ_masks: list[int], alive: int) -> int:
     """Vertices on a directed cycle of a bit-packed induced subgraph.
 
@@ -98,66 +114,17 @@ def masked_cyclic_mask(succ_masks: list[int], alive: int) -> int:
     union mask of all cyclic SCCs (more than one vertex, or a self-loop)
     — the primitive behind the Theorem 4.2 check and the
     branch-and-bound feedback-vertex-set search, replacing a
-    ``Digraph.induced_subgraph`` rebuild plus Tarjan over hashed nodes
-    with shift-and-mask arithmetic on Python ints.
+    ``Digraph.induced_subgraph`` rebuild with shift-and-mask arithmetic
+    on Python ints.
     """
-    index_of: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
     cyclic = 0
-
-    todo = alive
-    while todo:
-        root_bit = todo & -todo
-        todo &= todo - 1
-        root = root_bit.bit_length() - 1
-        if root in index_of:
-            continue
-        work = [[root, succ_masks[root] & alive]]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            frame = work[-1]
-            node = frame[0]
-            remaining = frame[1]
-            advanced = False
-            while remaining:
-                bit = remaining & -remaining
-                remaining &= remaining - 1
-                succ = bit.bit_length() - 1
-                if succ not in index_of:
-                    frame[1] = remaining
-                    index_of[succ] = lowlink[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append([succ, succ_masks[succ] & alive])
-                    advanced = True
-                    break
-                if succ in on_stack and index_of[succ] < lowlink[node]:
-                    lowlink[node] = index_of[succ]
-            if advanced:
-                continue
-            work.pop()
-            if work and lowlink[node] < lowlink[work[-1][0]]:
-                lowlink[work[-1][0]] = lowlink[node]
-            if lowlink[node] != index_of[node]:
-                continue
-            component = 0
-            size = 0
-            while True:
-                member = stack.pop()
-                on_stack.discard(member)
-                component |= 1 << member
-                size += 1
-                if member == node:
-                    break
-            if size > 1 or (succ_masks[node] >> node) & 1:
-                cyclic |= component
+    for component in tarjan(
+            bit_indices(alive),
+            lambda vertex: bit_indices(succ_masks[vertex] & alive)):
+        vertex = component[0]
+        if len(component) > 1 or (succ_masks[vertex] >> vertex) & 1:
+            for member in component:
+                cyclic |= 1 << member
     return cyclic
 
 
@@ -168,12 +135,6 @@ def cyclic_components(graph: Digraph) -> list[list[Hashable]]:
     a self-loop.  These are exactly the components through which a directed
     cycle can pass.
     """
-    cyclic = []
-    for component in strongly_connected_components(graph):
-        if len(component) > 1:
-            cyclic.append(component)
-        else:
-            node = component[0]
-            if graph.has_edge(node, node):
-                cyclic.append(component)
-    return cyclic
+    return [component for component in strongly_connected_components(graph)
+            if len(component) > 1
+            or graph.has_edge(component[0], component[0])]

@@ -45,15 +45,15 @@ def test_predecessors_map_inverts_successors(backend):
     assert graph.predecessors_map() is reverse
 
 
-def test_restricted_digraph_drops_outside_edges(backend):
+def test_outside_successors_drop_invariant_targets(backend):
     instance = livelock_agreement().instantiate(3)
     graph = StateGraph(instance, backend=backend)
     outside = [i for i, inside in enumerate(graph.in_invariant)
                if not inside]
-    sub = graph.restricted_digraph(outside)
-    assert set(sub.nodes) == set(outside)
-    for u, v, _k in sub.edges():
-        assert u in outside and v in outside
+    assert graph.outside_indices() == outside
+    for i in range(len(graph)):
+        assert graph.outside_successors(i) == [
+            t for t in graph.successors[i] if t in outside]
 
 
 def test_distances_to_invariant(backend):
