@@ -283,7 +283,8 @@ class WorkResults(list):
     """The results of one :func:`supervise_work_items` call, in item
     order, plus ``origins``: for each result, whether it was
     :data:`COMPUTED` by this run, read from the :data:`CACHED` result
-    cache, or replayed from the :data:`JOURNALED` run journal."""
+    cache (or from an earlier item with the same key), or replayed from
+    the :data:`JOURNALED` run journal."""
 
     def __init__(self, results: list[Any], origins: list[str]) -> None:
         super().__init__(results)
@@ -315,6 +316,20 @@ class TaskLedger:
                  plan: FaultPlan | None, cache=None,
                  stop: Callable[[Any], bool] | None = None) -> None:
         self.worker = worker
+        # Items that share a key share one result: the ledger runs,
+        # caches and journals each distinct key once, and
+        # ordered_results() fans it out to every item carrying the key.
+        self.slots = list(range(len(work)))
+        if keys is not None:
+            position: dict[str, int] = {}
+            distinct = []
+            self.slots = []
+            for item, key in zip(work, keys):
+                if key not in position:
+                    position[key] = len(distinct)
+                    distinct.append(item)
+                self.slots.append(position[key])
+            work, keys = distinct, list(position)
         self.work = work
         self.context = context
         self.stats = stats
@@ -468,13 +483,17 @@ class TaskLedger:
 
     def ordered_results(self) -> WorkResults:
         """Results and origins in item order, truncated after the first
-        result the stop predicate accepts."""
-        end = len(self.work)
-        if self.stop is not None:
-            end = next((index + 1 for index in range(end)
-                        if self._stops(index)), end)
-        return WorkResults([self.results[i] for i in range(end)],
-                           [self.origins[i] for i in range(end)])
+        result the stop predicate accepts.  An item whose key an earlier
+        item carries reads that item's result with origin
+        :data:`CACHED`, so callers count the work once."""
+        results, origins, seen = [], [], set()
+        for slot in self.slots:
+            results.append(self.results[slot])
+            origins.append(CACHED if slot in seen else self.origins[slot])
+            seen.add(slot)
+            if self._stops(slot):
+                break
+        return WorkResults(results, origins)
 
 
 def _spawn_dispatchable(ledger: "TaskLedger", portable) -> bool:
@@ -524,8 +543,10 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     :class:`repro.engine.ResultCache`) and *journal*: an item is
     answered from the cache, else replayed from the journal (and
     stored in the cache), else run; a computed result is checkpointed,
-    then cached exactly as the worker returned it.  The returned
-    :class:`WorkResults` carries each item's origin.
+    then cached exactly as the worker returned it.  Items with equal
+    keys are one work item: the first is answered or run, the rest
+    read its result.  The returned :class:`WorkResults` carries each
+    item's origin.
 
     The items left to run fork — through
     :class:`repro.engine.scheduler.BatchScheduler` — when ``jobs > 1``
@@ -568,7 +589,7 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
                         keys, fallback_worker, plan, cache=cache,
                         stop=stop)
     live.begin_stage(getattr(worker, "__name__", "supervised.map"),
-                     total=len(work))
+                     total=len(ledger.work))
     live.tick()
     if jobs <= 1 and policy.timeout is None and plan is None:
         ledger.run_serial(None, "jobs<=1")

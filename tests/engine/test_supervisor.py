@@ -9,6 +9,9 @@ workers.
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import pytest
 
 from repro.engine import EngineStats, ResultCache
@@ -370,6 +373,60 @@ class TestStopPredicate:
                                        stop=lambda result: result >= 4)
         assert results == [0, 1, 4]
         assert cache.get("k5") == 25  # every item ran
+
+
+def logged_square(log_dir, item):
+    """Square *item*, leaving one uniquely named file per call (forked
+    children included)."""
+    handle, _path = tempfile.mkstemp(dir=log_dir, prefix=f"{item}-")
+    os.close(handle)
+    return item * item
+
+
+def logged_items(log_dir) -> list[int]:
+    return sorted(int(path.name.split("-", 1)[0])
+                  for path in log_dir.iterdir())
+
+
+class TestRepeatedKeys:
+    ITEMS = (3, 1, 3, 2, 1, 3)
+    KEYS = [f"k{item}" for item in ITEMS]
+
+    @pytest.mark.parametrize("jobs", [
+        1, pytest.param(2, marks=needs_fork)])
+    def test_each_distinct_key_runs_once(self, tmp_path, jobs):
+        log_dir = tmp_path / "calls"
+        log_dir.mkdir()
+        journal = RunJournal.create(tmp_path, run_id=f"repeat-{jobs}")
+        cache = ResultCache()
+        stats = EngineStats(jobs=jobs)
+        results = supervise_work_items(
+            logged_square, self.ITEMS, jobs=jobs, context=log_dir,
+            stats=stats, cache=cache, journal=journal, keys=self.KEYS)
+        assert results == [9, 1, 9, 4, 1, 9]
+        assert results.origins == [COMPUTED, COMPUTED, CACHED, COMPUTED,
+                                   CACHED, CACHED]
+        assert logged_items(log_dir) == [1, 2, 3]
+        assert stats.cache_misses == 3 and stats.cache_hits == 0
+        assert journal.stats.entries_recorded == 3
+        assert cache.stats.stores == 3 and cache.stats.misses == 3
+
+    def test_uncached_run_still_shares_results(self, tmp_path):
+        log_dir = tmp_path / "calls"
+        log_dir.mkdir()
+        results = supervise_work_items(logged_square, self.ITEMS,
+                                       context=log_dir, keys=self.KEYS)
+        assert results == [9, 1, 9, 4, 1, 9]
+        assert logged_items(log_dir) == [1, 2, 3]
+
+    def test_stop_truncates_in_item_order(self, tmp_path):
+        log_dir = tmp_path / "calls"
+        log_dir.mkdir()
+        results = supervise_work_items(logged_square, self.ITEMS,
+                                       context=log_dir, keys=self.KEYS,
+                                       stop=lambda result: result == 4)
+        assert results == [9, 1, 9, 4]
+        assert logged_items(log_dir) == [1, 2, 3]
 
 
 # ----------------------------------------------------------------------
