@@ -1049,8 +1049,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     trace = getattr(args, "trace", None)
     log_json = getattr(args, "log_json", None)
     if hasattr(args, "live"):
-        from repro.engine.journal import new_run_id
+        from repro.engine.journal import new_run_id, run_meta, runs_root
 
+        if getattr(args, "resume", None) is not None:
+            # Refuse an unknown run before the live plane creates a
+            # status directory under its id.
+            run_meta(runs_root(args.cache_dir), args.resume)
         # One identity per command invocation, shared by the live
         # plane, the checkpoint journal and the ledger record.
         args.live_run_id = (getattr(args, "resume", None)

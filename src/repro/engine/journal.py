@@ -123,6 +123,27 @@ def list_runs(root: str | Path,
                   or (not require_journal and p.is_dir()))
 
 
+def run_meta(root: str | Path, run_id: str) -> dict[str, Any]:
+    """The ``meta.json`` of run *run_id* under *root*.
+
+    Raises :class:`JournalError` when there is no such run — a
+    directory without ``meta.json`` (say, the live status of a run that
+    never checkpointed) is none — or its ``meta.json`` is unreadable.
+    """
+    try:
+        text = (Path(root) / run_id / "meta.json").read_text()
+    except OSError:
+        raise JournalError(
+            f"no run {run_id!r} under {Path(root)} "
+            f"(known runs: {list_runs(root) or 'none'})") from None
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise JournalError(
+            f"run {run_id!r} has an unreadable meta.json ({exc}); "
+            f"refusing to resume") from None
+
+
 @dataclass
 class RunJournal:
     """Append-only checkpoint log of one supervised run.
@@ -177,24 +198,11 @@ class RunJournal:
         run was created with — resuming a sweep of protocol A from a
         journal of protocol B is refused, not silently merged.
         Corrupt or truncated lines (the normal tail state after a hard
-        kill) are skipped with a warning.  A run is its ``meta.json``: a
-        directory without one (say, the live status of a run that never
-        checkpointed) is no run to resume.
+        kill) are skipped with a warning.  A run is its ``meta.json``
+        (see :func:`run_meta`).
         """
-        directory = Path(root) / run_id
-        try:
-            text = (directory / "meta.json").read_text()
-        except OSError:
-            raise JournalError(
-                f"no run {run_id!r} under {Path(root)} "
-                f"(known runs: {list_runs(root) or 'none'})") from None
-        try:
-            meta = json.loads(text)
-        except ValueError as exc:
-            raise JournalError(
-                f"run {run_id!r} has an unreadable meta.json ({exc}); "
-                f"refusing to resume") from None
-        journal = cls(directory=directory, run_id=run_id, meta=meta,
+        journal = cls(directory=Path(root) / run_id, run_id=run_id,
+                      meta=run_meta(root, run_id),
                       flush_interval=flush_interval)
         recorded = journal.meta.get("fingerprint")
         if fingerprint is not None and recorded is not None \

@@ -143,3 +143,13 @@ def test_resume_of_an_unknown_run_is_refused(live, tmp_path, capsys):
     assert "error: no run 'nope'" in captured.err
     assert "resuming run" not in captured.err
     assert "per-size sweep" not in captured.out
+
+
+@pytest.mark.parametrize("live", ["--live", "--no-live"])
+def test_refused_resume_leaves_no_run_behind(live, tmp_path, capsys):
+    assert main(["sweep", "agreement-ss", "--up-to", "4", "--resume",
+                 "nope", "--cache-dir", str(tmp_path), live]) == 2
+    capsys.readouterr()
+    assert not (tmp_path / "runs" / "nope").exists()
+    assert main(["ps", "--cache-dir", str(tmp_path)]) == 0
+    assert "nope" not in capsys.readouterr().out
